@@ -177,7 +177,6 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
   params.config.overlay_enabled = config.overlay;
   params.config.join_policy = config.join_policy;
   params.config.summary_keepalive_rounds = config.summary_keepalive_rounds;
-  params.config.incremental_refresh = config.incremental_refresh;
   params.threads = config.threads;
   // Profiling is digest-neutral but not free (~a tick read per event),
   // so only the designated repetition pays for it.

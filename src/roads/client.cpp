@@ -96,7 +96,8 @@ void RoadsClient::on_arrival(sim::NodeId server) {
 }
 
 void RoadsClient::on_reply(
-    sim::NodeId server, std::vector<std::pair<sim::NodeId, QueryMode>> targets,
+    sim::NodeId server,
+    const std::vector<std::pair<sim::NodeId, QueryMode>>& targets,
     std::size_t local_matches, bool results_pending) {
   if (!replied_.insert(server).second) return;  // duplicate or timed out
   if (outstanding_replies_ == 0) return;        // stale reply after completion
@@ -111,14 +112,15 @@ void RoadsClient::on_reply(
   check_complete();
 }
 
-void RoadsClient::on_results(sim::NodeId server,
-                             std::vector<record::ResourceRecord> records) {
+void RoadsClient::on_results(
+    sim::NodeId server, const std::vector<record::ResourceRecord>& records) {
   results_arrived_.insert(server);
   result_.last_result_at =
       std::max(result_.last_result_at, network_.simulator().now());
   trace_span(obs::TraceKind::kQueryResult, server,
              static_cast<double>(records.size()));
-  for (auto& r : records) result_.records.push_back(std::move(r));
+  result_.records.insert(result_.records.end(), records.begin(),
+                         records.end());
   check_complete();
 }
 

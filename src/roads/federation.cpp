@@ -29,37 +29,20 @@ class Federation::OwnerAgent : public QueryTarget {
                                                      proc, &network] {
           sim::ScopedTraceContext trace_scope(network, proc);
           auto records = owner_->answer(client->principal(), client->query());
-          const std::size_t matches = records.size();
-          const bool results_pending = client->collect_results() && matches > 0;
-          network.send(node, client->location(), msg::redirect_reply(0),
-                       sim::Channel::kQuery,
-                       [client, node, matches, results_pending] {
-                         client->on_reply(node, {}, matches, results_pending);
-                       });
-          if (!results_pending) {
-            network.end_span(proc);
-            return;
+          auto reply = std::make_shared<QueryReply>();
+          reply->local_matches = records.size();
+          reply->results_pending =
+              client->collect_results() && !records.empty();
+          if (reply->results_pending) {
+            for (const auto& r : records) reply->record_bytes += r.wire_size();
+            store::QueryStats stats;
+            stats.candidates_scanned = owner_->store().size();
+            stats.matches = records.size();
+            reply->service_us = store::service_time_us(
+                federation_.config_.service_model, stats, reply->record_bytes);
+            reply->records = std::move(records);
           }
-          std::uint64_t bytes = 0;
-          for (const auto& r : records) bytes += r.wire_size();
-          store::QueryStats stats;
-          stats.candidates_scanned = owner_->store().size();
-          stats.matches = matches;
-          const auto service = store::service_time_us(
-              federation_.config_.service_model, stats, bytes);
-          const auto svc = network.begin_span(node, "service");
-          network.simulator().schedule_after(
-              service,
-              [client, node, bytes, svc, records = std::move(records),
-               &network]() mutable {
-                sim::ScopedTraceContext svc_scope(network, svc);
-                network.send(node, client->location(), msg::results(bytes),
-                             sim::Channel::kResult,
-                             [client, node, records = std::move(records)]() mutable {
-                               client->on_results(node, std::move(records));
-                             });
-                network.end_span(svc);
-              });
+          send_reply(network, node, client, std::move(reply));
           network.end_span(proc);
         });
   }

@@ -224,7 +224,6 @@ class Federation : public Directory {
   obs::Profiler* profiler() { return profiler_.get(); }
   const record::Schema& schema() const { return schema_; }
   const RoadsConfig& config() const { return config_; }
-  RoadsConfig& mutable_config() { return config_; }
   util::Rng& rng() { return rng_; }
 
   // --- Directory ---------------------------------------------------------------

@@ -31,12 +31,26 @@
 
 namespace roads::core {
 
+/// Result-cache bounds: entries and total cached bytes (records +
+/// target lists), LRU-evicted.
+inline constexpr std::size_t kQueryCacheMaxEntries = 4096;
+inline constexpr std::uint64_t kQueryCacheMaxBytes = 1 << 22;  // 4 MiB
+/// Service time of a cache hit (lookup + reply assembly). A hit
+/// occupies an evaluation slot for this long instead of
+/// query_processing_delay — the source of the cache's throughput win.
+inline constexpr sim::Time kQueryCacheHitDelay = 50;  // µs
+/// Negative-cache bounds: a remembered summary-prune miss is answered
+/// empty for the TTL without occupying an evaluation slot.
+inline constexpr std::size_t kNegativeCacheMaxEntries = 1024;
+inline constexpr sim::Time kNegativeCacheTtl = sim::seconds(5);
+
 /// Everything a server computes for one query after admission: the
 /// redirect target list, local match accounting, and (collect mode)
 /// the matching records plus their precomputed retrieval service time.
-/// Serving a CachedReply re-plays the counters the cold evaluation
-/// would have bumped (false positive, overlay shortcuts).
-struct CachedReply {
+/// The false-positive flag and shortcut count are the meters serving
+/// the reply bumps, so a cached reply moves them exactly like a cold
+/// one.
+struct QueryReply {
   std::vector<std::pair<sim::NodeId, QueryMode>> targets;
   std::size_t local_matches = 0;
   bool results_pending = false;
@@ -54,7 +68,7 @@ struct CachedReply {
   }
 };
 
-/// LRU cache of CachedReply keyed by the 64-bit (query, state) key.
+/// LRU cache of QueryReply keyed by the 64-bit (query, state) key.
 /// Entries are shared immutable objects so a hit being served stays
 /// valid even if the entry is evicted before the reply fires.
 /// Deterministic: eviction follows the recency list, never the hash
@@ -65,11 +79,12 @@ class QueryResultCache {
       : max_entries_(max_entries), max_bytes_(max_bytes) {}
 
   /// Looks up `key`, refreshing its recency on a hit.
-  std::shared_ptr<const CachedReply> find(std::uint64_t key);
+  std::shared_ptr<const QueryReply> find(std::uint64_t key);
 
   /// Inserts (or replaces) `key`, then evicts least-recently-used
   /// entries until both bounds hold. Returns how many were evicted.
-  std::size_t insert(std::uint64_t key, CachedReply reply);
+  std::size_t insert(std::uint64_t key,
+                     std::shared_ptr<const QueryReply> reply);
 
   std::size_t size() const { return lru_.size(); }
   std::uint64_t bytes() const { return bytes_; }
@@ -78,7 +93,7 @@ class QueryResultCache {
  private:
   struct Entry {
     std::uint64_t key = 0;
-    std::shared_ptr<const CachedReply> reply;
+    std::shared_ptr<const QueryReply> reply;
   };
   std::size_t max_entries_;
   std::uint64_t max_bytes_;

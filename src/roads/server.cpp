@@ -1,6 +1,7 @@
 #include "roads/server.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "obs/profile.h"
 #include "util/hash.h"
@@ -52,10 +53,8 @@ RoadsServer::RoadsServer(sim::NodeId id, const RoadsConfig& config,
       cache_evicted_(network.metrics().counter("roads.query.cache.evicted")),
       store_(schema_),
       replicas_(config.summary_ttl),
-      query_cache_(config.query_cache_max_entries,
-                   config.query_cache_max_bytes),
-      negative_cache_(config.negative_cache_max_entries,
-                      config.negative_cache_ttl) {
+      query_cache_(kQueryCacheMaxEntries, kQueryCacheMaxBytes),
+      negative_cache_(kNegativeCacheMaxEntries, kNegativeCacheTtl) {
   replicas_.bind_metrics(network.metrics());
 }
 
@@ -331,17 +330,12 @@ void RoadsServer::refresh_attachment_summaries(bool keepalive) {
 }
 
 SummaryPtr RoadsServer::compute_local_summary() {
-  summary::ResourceSummary local;
-  if (config_.incremental_refresh) {
-    const auto refresh = store_.refresh_summary(store_summary_,
-                                                config_.summary);
-    if (refresh.unchanged) summary_refresh_skipped_.inc();
-    if (refresh.full_rebuild) summary_full_rebuilds_.inc();
-    if (refresh.delta_slots > 0) summary_delta_slots_.inc(refresh.delta_slots);
-    local = store_summary_;  // copy: attachment merges must not pollute it
-  } else {
-    local = store_.summarize(config_.summary);
-  }
+  const auto refresh = store_.refresh_summary(store_summary_, config_.summary);
+  if (refresh.unchanged) summary_refresh_skipped_.inc();
+  if (refresh.full_rebuild) summary_full_rebuilds_.inc();
+  if (refresh.delta_slots > 0) summary_delta_slots_.inc(refresh.delta_slots);
+  // Copy: attachment merges must not pollute the store summary.
+  summary::ResourceSummary local = store_summary_;
   for (const auto& att : attachments_) {
     if (att.mode == ExportMode::kSummaryOnly && att.summary) {
       local.merge(*att.summary);
@@ -867,35 +861,26 @@ void RoadsServer::handle_query(std::shared_ptr<RoadsClient> client,
       negative_cache_.contains(cache_key(*client, mode),
                                network_.simulator().now())) {
     cache_neg_hits_.inc();
-    query_false_positives_.inc();
+    static const std::shared_ptr<const QueryReply> kMiss = [] {
+      auto miss = std::make_shared<QueryReply>();
+      miss->false_positive = true;
+      return miss;
+    }();
     const auto proc = network_.begin_span(id_, "proc");
     network_.simulator().schedule_after(
-        config_.query_cache_hit_delay, [this, client, proc] {
+        kQueryCacheHitDelay, [this, client, proc] {
           if (!alive_) {
             network_.end_span(proc);
             return;
           }
           sim::ScopedTraceContext trace_scope(network_, proc);
-          network_.send(id_, client->location(), msg::redirect_reply(0),
-                        sim::Channel::kQuery, [client, server = id_] {
-                          client->on_reply(
-                              server,
-                              std::vector<std::pair<sim::NodeId, QueryMode>>{},
-                              0, false);
-                        });
+          serve(client, kMiss, proc);
           network_.end_span(proc);
         });
     return;
   }
 
-  // Admission control. limit == 0 keeps the historical infinite-server
-  // model: every query is admitted immediately (bit-identical replay).
-  const auto limit = config_.query_concurrency_limit;
-  if (limit == 0) {
-    begin_query(std::move(client), mode);
-    return;
-  }
-  if (active_queries_ < limit) {
+  if (active_queries_ < slot_limit()) {
     ++active_queries_;
     begin_query(std::move(client), mode);
   } else if (query_queue_.size() < config_.query_queue_limit) {
@@ -912,56 +897,63 @@ void RoadsServer::begin_query(std::shared_ptr<RoadsClient> client,
   // re-enters the captured context: raw schedule_after timers run
   // outside any delivery scope.
   const auto proc = network_.begin_span(id_, "proc");
+  std::shared_ptr<const QueryReply> cached;
   if (config_.query_cache_enabled) {
-    if (auto entry = query_cache_.find(cache_key(*client, mode))) {
-      cache_hits_.inc();
-      // A hit holds its slot only for the lookup/assembly delay — the
-      // source of the cache's sustainable-QPS win.
-      network_.simulator().schedule_after(
-          config_.query_cache_hit_delay,
-          [this, client, entry = std::move(entry), proc] {
-            if (!alive_) {
-              network_.end_span(proc);
-              return;
-            }
-            sim::ScopedTraceContext trace_scope(network_, proc);
-            serve_cached(client, entry, proc);
-            network_.end_span(proc);
-            finish_query();
-          });
-      return;
-    }
-    cache_misses_.inc();
+    cached = query_cache_.find(cache_key(*client, mode));
+    (cached ? cache_hits_ : cache_misses_).inc();
   }
+  // A hit holds its slot only for the lookup/assembly delay — the
+  // source of the cache's sustainable-QPS win.
+  const auto delay =
+      cached ? kQueryCacheHitDelay : config_.query_processing_delay;
   network_.simulator().schedule_after(
-      config_.query_processing_delay, [this, client, mode, proc] {
+      delay, [this, client = std::move(client), mode, proc,
+              reply = std::move(cached)]() mutable {
         if (!alive_) {
           network_.end_span(proc);
           return;
         }
-        evaluate_query(client, mode, proc);
+        {
+          sim::ScopedTraceContext trace_scope(network_, proc);
+          if (!reply) {
+            auto fresh =
+                std::make_shared<const QueryReply>(evaluate(*client, mode));
+            // Cache fill, keyed by the state stamp AT EVALUATION TIME
+            // (the state the reply was computed from — a push that
+            // landed while this query sat in the processing delay keys
+            // the entry to the new state).
+            if (config_.query_cache_enabled) {
+              const auto key = cache_key(*client, mode);
+              if (fresh->false_positive) {
+                negative_cache_.insert(key, network_.simulator().now());
+              }
+              const auto evicted = query_cache_.insert(key, fresh);
+              if (evicted > 0) cache_evicted_.inc(evicted);
+            }
+            reply = std::move(fresh);
+          }
+          serve(client, std::move(reply), proc);
+          network_.end_span(proc);
+        }
+        // Outside the scope: the next queued query's span must not
+        // open under this one.
         finish_query();
       });
 }
 
-void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
-                                 QueryMode mode,
-                                 const obs::TraceContext& proc) {
-  sim::ScopedTraceContext trace_scope(network_, proc);
-  const auto& q = client->query();
-  std::vector<std::pair<sim::NodeId, QueryMode>> targets;
-  std::uint64_t shortcut_hits = 0;
+QueryReply RoadsServer::evaluate(const RoadsClient& client,
+                                 QueryMode mode) const {
+  const auto& q = client.query();
+  QueryReply reply;
+  auto& targets = reply.targets;
 
   // Local data: this server's own store...
   store::QueryStats stats{};
   const auto local_ids = store_.query(q, &stats);
-  std::size_t local_matches = local_ids.size();
-  std::vector<record::ResourceRecord> local_records;
-  if (client->collect_results()) {
-    local_records.reserve(local_ids.size());
-    for (const auto rid : local_ids) {
-      local_records.push_back(store_.get(rid));
-    }
+  reply.local_matches = local_ids.size();
+  if (client.collect_results()) {
+    reply.records.reserve(local_ids.size());
+    for (const auto rid : local_ids) reply.records.push_back(store_.get(rid));
   }
   // ...plus summary-only owner attachments. Co-located owners
   // answer through this server (policy applied); remote owners
@@ -970,12 +962,12 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
     if (att.mode != ExportMode::kSummaryOnly || !att.summary) continue;
     if (!att.summary->matches(q)) continue;
     if (att.owner->node() == id_) {
-      if (client->collect_results()) {
-        auto records = att.owner->answer(client->principal(), q);
-        local_matches += records.size();
-        for (auto& r : records) local_records.push_back(std::move(r));
+      if (client.collect_results()) {
+        auto records = att.owner->answer(client.principal(), q);
+        reply.local_matches += records.size();
+        for (auto& r : records) reply.records.push_back(std::move(r));
       } else {
-        local_matches += att.owner->answer_count(client->principal(), q);
+        reply.local_matches += att.owner->answer_count(client.principal(), q);
       }
     } else {
       targets.emplace_back(att.owner->node(), QueryMode::kLocalOnly);
@@ -997,21 +989,19 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
   if (mode == QueryMode::kStart) {
     // The client's scope limits how far up the hierarchy the
     // shortcuts may reach (§III-C's widening control).
-    const unsigned scope = client->scope();
+    const unsigned scope = client.scope();
     for (const auto* r : replicas_.matching(q, overlay::SummaryKind::kBranch)) {
       if (r->spec.role != overlay::ReplicaRole::kAncestor &&
           r->spec.levels_up <= scope) {
         targets.emplace_back(r->spec.origin, QueryMode::kBranch);
-        overlay_shortcut_hits_.inc();
-        ++shortcut_hits;
+        ++reply.shortcut_hits;
       }
     }
     for (const auto* r : replicas_.matching(q, overlay::SummaryKind::kLocal)) {
       if (r->spec.role == overlay::ReplicaRole::kAncestor &&
           r->spec.levels_up <= scope) {
         targets.emplace_back(r->spec.origin, QueryMode::kLocalOnly);
-        overlay_shortcut_hits_.inc();
-        ++shortcut_hits;
+        ++reply.shortcut_hits;
       }
     }
   }
@@ -1019,124 +1009,71 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
   // A summary somewhere matched this query and steered it here,
   // yet the server has nothing and nowhere further to send it —
   // the false-positive redirect cost of approximate summaries.
-  const bool false_positive =
-      mode != QueryMode::kStart && local_matches == 0 && targets.empty();
-  if (false_positive) {
+  reply.false_positive =
+      mode != QueryMode::kStart && reply.local_matches == 0 && targets.empty();
+
+  reply.results_pending = client.collect_results() && reply.local_matches > 0;
+  if (reply.results_pending) {
+    for (const auto& r : reply.records) reply.record_bytes += r.wire_size();
+    stats.matches = reply.records.size();
+    reply.service_us = store::service_time_us(config_.service_model, stats,
+                                              reply.record_bytes);
+  }
+  return reply;
+}
+
+void RoadsServer::serve(const std::shared_ptr<RoadsClient>& client,
+                        std::shared_ptr<const QueryReply> reply,
+                        const obs::TraceContext& proc) {
+  // The one place the §V meters (fp rate, shortcut usage) move, so
+  // they stay cache-transparent.
+  if (reply->false_positive) {
     query_false_positives_.inc();
     // Pinned to the processing span: the critical-path analyzer
     // marks the transit that fed this hop as detour time.
     trace_event(obs::TraceKind::kQueryFalsePositive, client->location(), 0.0,
                 proc.span);
   }
-
-  const bool results_pending = client->collect_results() && local_matches > 0;
-  std::uint64_t record_bytes = 0;
-  sim::Time service = 0;
-  if (results_pending) {
-    for (const auto& r : local_records) record_bytes += r.wire_size();
-    stats.matches = local_records.size();
-    service =
-        store::service_time_us(config_.service_model, stats, record_bytes);
-  }
-
-  // Cache fill, keyed by the state stamp AT EVALUATION TIME (the state
-  // the reply was computed from — a push that landed while this query
-  // sat in the processing delay keys the entry to the new state).
-  if (config_.query_cache_enabled) {
-    const auto key = cache_key(*client, mode);
-    if (false_positive) {
-      negative_cache_.insert(key, network_.simulator().now());
-    }
-    CachedReply entry;
-    entry.targets = targets;
-    entry.local_matches = local_matches;
-    entry.results_pending = results_pending;
-    entry.records = local_records;
-    entry.record_bytes = record_bytes;
-    entry.service_us = service;
-    entry.false_positive = false_positive;
-    entry.shortcut_hits = shortcut_hits;
-    const auto evicted = query_cache_.insert(key, std::move(entry));
-    if (evicted > 0) cache_evicted_.inc(evicted);
-  }
-
-  // Size the reply before the capture moves the target list out.
-  const auto reply_bytes = msg::redirect_reply(targets.size());
-  network_.send(id_, client->location(), reply_bytes, sim::Channel::kQuery,
-                [client, server = id_, targets = std::move(targets),
-                 local_matches, results_pending]() mutable {
-                  client->on_reply(server, std::move(targets), local_matches,
-                                   results_pending);
-                });
-
-  if (results_pending) {
-    // Retrieval time is its own span (child of proc) so response
-    // critical paths separate evaluation from service delay.
-    const auto svc = network_.begin_span(id_, "service");
-    network_.simulator().schedule_after(
-        service, [this, client, record_bytes, svc,
-                  records = std::move(local_records)]() mutable {
-          if (!alive_) {
-            network_.end_span(svc);
-            return;
-          }
-          sim::ScopedTraceContext svc_scope(network_, svc);
-          network_.send(id_, client->location(), msg::results(record_bytes),
-                        sim::Channel::kResult,
-                        [client, server = id_,
-                         records = std::move(records)]() mutable {
-                          client->on_results(server, std::move(records));
-                        });
-          network_.end_span(svc);
-        });
-  }
-  network_.end_span(proc);
+  if (reply->shortcut_hits > 0) overlay_shortcut_hits_.inc(reply->shortcut_hits);
+  send_reply(network_, id_, client, std::move(reply));
 }
 
-void RoadsServer::serve_cached(const std::shared_ptr<RoadsClient>& client,
-                               const std::shared_ptr<const CachedReply>& entry,
-                               const obs::TraceContext& proc) {
-  // Replay the accounting the cold evaluation would have produced, so
-  // the §V meters (fp rate, shortcut usage) are cache-transparent.
-  if (entry->false_positive) {
-    query_false_positives_.inc();
-    trace_event(obs::TraceKind::kQueryFalsePositive, client->location(), 0.0,
-                proc.span);
-  }
-  if (entry->shortcut_hits > 0) overlay_shortcut_hits_.inc(entry->shortcut_hits);
+void send_reply(sim::Network& network, sim::NodeId from,
+                const std::shared_ptr<RoadsClient>& client,
+                std::shared_ptr<const QueryReply> reply) {
+  network.send(from, client->location(),
+               msg::redirect_reply(reply->targets.size()), sim::Channel::kQuery,
+               [client, from, reply] {
+                 client->on_reply(from, reply->targets, reply->local_matches,
+                                  reply->results_pending);
+               });
+  if (!reply->results_pending) return;
+  // Retrieval time is its own span (child of proc) so response
+  // critical paths separate evaluation from service delay. A sender
+  // that died meanwhile is silenced by the network (node down).
+  const auto svc = network.begin_span(from, "service");
+  const auto service = reply->service_us;  // read before the move below
+  network.simulator().schedule_after(
+      service, [&network, from, client, svc, reply = std::move(reply)] {
+        sim::ScopedTraceContext svc_scope(network, svc);
+        network.send(from, client->location(), msg::results(reply->record_bytes),
+                     sim::Channel::kResult, [client, from, reply] {
+                       client->on_results(from, reply->records);
+                     });
+        network.end_span(svc);
+      });
+}
 
-  network_.send(id_, client->location(),
-                msg::redirect_reply(entry->targets.size()), sim::Channel::kQuery,
-                [client, server = id_, entry] {
-                  client->on_reply(server, entry->targets,
-                                   entry->local_matches,
-                                   entry->results_pending);
-                });
-
-  if (entry->results_pending) {
-    const auto svc = network_.begin_span(id_, "service");
-    network_.simulator().schedule_after(
-        entry->service_us, [this, client, entry, svc] {
-          if (!alive_) {
-            network_.end_span(svc);
-            return;
-          }
-          sim::ScopedTraceContext svc_scope(network_, svc);
-          network_.send(id_, client->location(),
-                        msg::results(entry->record_bytes), sim::Channel::kResult,
-                        [client, server = id_, entry] {
-                          client->on_results(server, entry->records);
-                        });
-          network_.end_span(svc);
-        });
-  }
+std::size_t RoadsServer::slot_limit() const {
+  // 0 keeps the historical infinite-server model: every query is
+  // admitted immediately (bit-identical replay).
+  const auto limit = config_.query_concurrency_limit;
+  return limit == 0 ? SIZE_MAX : limit;
 }
 
 void RoadsServer::finish_query() {
-  if (config_.query_concurrency_limit == 0) return;
   if (active_queries_ > 0) --active_queries_;
-  while (!query_queue_.empty() &&
-         active_queries_ < config_.query_concurrency_limit) {
+  while (!query_queue_.empty() && active_queries_ < slot_limit()) {
     auto next = std::move(query_queue_.front());
     query_queue_.pop_front();
     ++active_queries_;

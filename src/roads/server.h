@@ -144,12 +144,13 @@ class RoadsServer : public QueryTarget {
   void handle_query(std::shared_ptr<RoadsClient> client,
                     QueryMode mode) override;
 
-  /// Admission/cache introspection (tests and probes).
-  std::size_t active_queries() const { return active_queries_; }
-  std::size_t queued_queries() const { return query_queue_.size(); }
-  std::size_t query_cache_entries() const { return query_cache_.size(); }
-  std::uint64_t query_cache_bytes() const { return query_cache_.bytes(); }
-  std::size_t negative_cache_entries() const { return negative_cache_.size(); }
+  /// The reply this server would give `client` arriving in `mode`, read
+  /// from the local store, summary-only attachments, child branch
+  /// summaries and (start mode, within the client's scope) overlay
+  /// shortcuts. Pure: bumps no counter, sends nothing, arms no timer —
+  /// serving the reply does that, so a cached reply serves exactly
+  /// like a cold one.
+  QueryReply evaluate(const RoadsClient& client, QueryMode mode) const;
 
  private:
   struct Attachment {
@@ -193,22 +194,19 @@ class RoadsServer : public QueryTarget {
   void on_heartbeat_timer();
   void on_failure_check_timer();
   void parent_lost();
-  void try_rejoin_candidates();
 
   // --- Query serving internals (admission + caching) ------------------------
-  /// Starts serving an admitted query: cache lookup decides whether the
-  /// evaluation slot is held for the hit delay or the full processing
-  /// delay.
+  /// Starts serving an admitted query: a cached reply holds the
+  /// evaluation slot for the hit delay, a miss for the full processing
+  /// delay, after which it is evaluated and fills the caches.
   void begin_query(std::shared_ptr<RoadsClient> client, QueryMode mode);
-  /// The cold evaluation (local store + attachments + child summaries +
-  /// overlay shortcuts), reply send, and cache fill. Runs inside the
-  /// processing-delay closure under the `proc` span.
-  void evaluate_query(const std::shared_ptr<RoadsClient>& client,
-                      QueryMode mode, const obs::TraceContext& proc);
-  /// Replays a cached reply (counters, redirect reply, result batch).
-  void serve_cached(const std::shared_ptr<RoadsClient>& client,
-                    const std::shared_ptr<const CachedReply>& entry,
-                    const obs::TraceContext& proc);
+  /// Bumps the reply's false-positive and shortcut meters, then sends
+  /// it. Runs under the `proc` span.
+  void serve(const std::shared_ptr<RoadsClient>& client,
+             std::shared_ptr<const QueryReply> reply,
+             const obs::TraceContext& proc);
+  /// Concurrent evaluations allowed; a configured 0 means unlimited.
+  std::size_t slot_limit() const;
   /// Releases an evaluation slot and admits the next queued query.
   void finish_query();
   /// Sheds `client` with an immediate overload reply.
@@ -346,5 +344,12 @@ class RoadsServer : public QueryTarget {
   mutable bool state_stamp_dirty_ = true;
   mutable std::uint64_t state_stamp_fold_ = 0;
 };
+
+/// Sends `reply` from `from` to the client: the redirect reply now and,
+/// when results are pending, the record batch after its service time.
+/// The one reply path for servers (cold or cached) and owner agents.
+void send_reply(sim::Network& network, sim::NodeId from,
+                const std::shared_ptr<RoadsClient>& client,
+                std::shared_ptr<const QueryReply> reply);
 
 }  // namespace roads::core

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "overlay/replica_set.h"
 #include "record/query.h"
@@ -40,8 +42,9 @@ FederationParams small_params(std::size_t attrs = 4,
 /// node: all its values equal (node + 0.5) / n.
 Federation& build_identifiable(std::unique_ptr<Federation>& holder,
                                std::size_t n, std::size_t records_per_node,
-                               std::size_t attrs = 4) {
-  holder = std::make_unique<Federation>(small_params(attrs));
+                               FederationParams params = small_params()) {
+  const std::size_t attrs = params.schema.size();
+  holder = std::make_unique<Federation>(std::move(params));
   auto& fed = *holder;
   fed.add_servers(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -388,11 +391,11 @@ TEST(FederationChurn, QueriesStillResolveAfterFailure) {
 TEST(QueryResultCacheBounds, EntryLimitEvictsLeastRecentlyUsed) {
   core::QueryResultCache cache(/*max_entries=*/3, /*max_bytes=*/1 << 20);
   for (std::uint64_t k = 1; k <= 3; ++k) {
-    EXPECT_EQ(cache.insert(k, core::CachedReply{}), 0u);
+    EXPECT_EQ(cache.insert(k, std::make_shared<const core::QueryReply>()), 0u);
   }
   // Touch key 1 so key 2 becomes the LRU victim.
   EXPECT_NE(cache.find(1), nullptr);
-  EXPECT_EQ(cache.insert(4, core::CachedReply{}), 1u);
+  EXPECT_EQ(cache.insert(4, std::make_shared<const core::QueryReply>()), 1u);
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_NE(cache.find(1), nullptr);
   EXPECT_EQ(cache.find(2), nullptr) << "LRU victim survived";
@@ -401,10 +404,10 @@ TEST(QueryResultCacheBounds, EntryLimitEvictsLeastRecentlyUsed) {
 }
 
 TEST(QueryResultCacheBounds, ByteLimitEvictsButKeepsNewestEntry) {
-  // Each empty CachedReply charges its 64-byte base; record_bytes adds
+  // Each empty QueryReply charges its 64-byte base; record_bytes adds
   // directly. A 150-byte budget holds two small entries at most.
   core::QueryResultCache cache(/*max_entries=*/64, /*max_bytes=*/150);
-  core::CachedReply small;
+  const auto small = std::make_shared<const core::QueryReply>();
   EXPECT_EQ(cache.insert(1, small), 0u);
   EXPECT_EQ(cache.insert(2, small), 0u);
   EXPECT_EQ(cache.insert(3, small), 1u) << "byte bound did not evict";
@@ -413,9 +416,10 @@ TEST(QueryResultCacheBounds, ByteLimitEvictsButKeepsNewestEntry) {
 
   // An entry larger than the whole budget still caches (the just-
   // inserted entry is never evicted) after clearing everything else.
-  core::CachedReply huge;
+  core::QueryReply huge;
   huge.record_bytes = 1000;
-  EXPECT_EQ(cache.insert(4, huge), 2u);
+  EXPECT_EQ(cache.insert(4, std::make_shared<const core::QueryReply>(huge)),
+            2u);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_NE(cache.find(4), nullptr);
 }
@@ -525,6 +529,135 @@ TEST(QueryAdmission, QueuedQueriesDrainInArrivalOrder) {
     previous = c->result().forwarding_latency();
   }
   EXPECT_EQ(fed.metrics().counter("roads.query.cache.shed").value(), 0u);
+}
+
+// --- Pure evaluation: RoadsServer::evaluate ---
+
+/// Every counter value in the registry, by name.
+std::map<std::string, std::uint64_t> counter_values(const Federation& fed) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, counter] : fed.metrics().counters()) {
+    out[name] = counter->value();
+  }
+  return out;
+}
+
+TEST(RoadsEvaluate, ReadsStateWithoutSideEffects) {
+  std::unique_ptr<Federation> holder;
+  auto& fed = build_identifiable(holder, 13, 1);
+  const auto topo = fed.topology();
+  sim::NodeId leaf = 0;
+  for (sim::NodeId i = 0; i < 13; ++i) {
+    if (topo.depth(i) == topo.height()) leaf = i;
+  }
+  ASSERT_GE(topo.depth(leaf), 2u) << "need ancestor siblings to scope";
+  const auto path = topo.path_from_root(leaf);
+  const auto wide = query_attr0(0.0, 1.0);  // matches every server
+
+  const auto counters_before = counter_values(fed);
+  const auto messages_before = fed.network().total_messages();
+  const auto pending_before = fed.simulator().pending_events();
+
+  // Start mode at a leaf: every target is an overlay shortcut. Scope s
+  // admits the siblings of each of the leaf's first s path nodes
+  // (branch descent) plus its first s ancestors (local-only probes).
+  for (unsigned scope = 1; scope <= topo.depth(leaf); ++scope) {
+    auto client =
+        std::make_shared<core::RoadsClient>(fed.network(), fed, wide, leaf);
+    client->set_scope(scope);
+    const auto reply =
+        fed.server(leaf).evaluate(*client, core::QueryMode::kStart);
+    std::set<std::pair<sim::NodeId, core::QueryMode>> expected;
+    for (unsigned k = 0; k < scope; ++k) {
+      const auto below = path[path.size() - 1 - k];
+      for (const auto sib : topo.siblings(below)) {
+        expected.emplace(sib, core::QueryMode::kBranch);
+      }
+      expected.emplace(path[path.size() - 2 - k], core::QueryMode::kLocalOnly);
+    }
+    const std::set<std::pair<sim::NodeId, core::QueryMode>> got(
+        reply.targets.begin(), reply.targets.end());
+    EXPECT_EQ(got, expected) << "scope " << scope;
+    EXPECT_EQ(reply.targets.size(), expected.size()) << "scope " << scope;
+    EXPECT_EQ(reply.shortcut_hits, expected.size()) << "scope " << scope;
+    EXPECT_EQ(reply.local_matches, 1u);
+    EXPECT_FALSE(reply.false_positive);
+    EXPECT_FALSE(reply.results_pending);
+  }
+
+  // Branch mode at the root descends into every child and takes no
+  // shortcut; local-only mode stops at the root's own records.
+  const auto root = topo.root();
+  auto at_root =
+      std::make_shared<core::RoadsClient>(fed.network(), fed, wide, root);
+  const auto branch = fed.server(root).evaluate(*at_root, core::QueryMode::kBranch);
+  EXPECT_EQ(branch.targets.size(), topo.children(root).size());
+  for (const auto& [node, mode] : branch.targets) {
+    EXPECT_EQ(topo.parent(node), root);
+    EXPECT_EQ(mode, core::QueryMode::kBranch);
+  }
+  EXPECT_EQ(branch.shortcut_hits, 0u);
+  const auto local =
+      fed.server(root).evaluate(*at_root, core::QueryMode::kLocalOnly);
+  EXPECT_TRUE(local.targets.empty()) << "local-only reply named a child";
+  EXPECT_EQ(local.local_matches, 1u);
+  EXPECT_FALSE(local.false_positive);
+
+  // A forwarded query with no local match and nowhere to go is a false
+  // positive; the same miss at the start server is not.
+  const auto elsewhere = static_cast<double>((leaf + 1) % 13);
+  const auto miss = query_attr0((elsewhere + 0.4) / 13.0,
+                                (elsewhere + 0.6) / 13.0);
+  auto missing =
+      std::make_shared<core::RoadsClient>(fed.network(), fed, miss, leaf);
+  const auto fp = fed.server(leaf).evaluate(*missing, core::QueryMode::kBranch);
+  EXPECT_TRUE(fp.false_positive);
+  EXPECT_EQ(fp.local_matches, 0u);
+  EXPECT_TRUE(fp.targets.empty());
+  EXPECT_FALSE(
+      fed.server(leaf).evaluate(*missing, core::QueryMode::kStart).false_positive);
+
+  // None of it moved a counter, sent a message or armed a timer.
+  EXPECT_EQ(counter_values(fed), counters_before);
+  EXPECT_EQ(fed.network().total_messages(), messages_before);
+  EXPECT_EQ(fed.simulator().pending_events(), pending_before);
+}
+
+// Every false positive served — cold, cached or negative-cached — both
+// bumps the counter and leaves a trace event pinned to its hop.
+TEST(QueryCacheTrace, NegativeHitsTraceEveryFalsePositive) {
+  auto params = small_params();
+  params.config.query_cache_enabled = true;
+  std::unique_ptr<Federation> holder;
+  auto& fed = build_identifiable(holder, 10, 1, std::move(params));
+  ASSERT_NE(fed.trace(), nullptr);
+  const auto topo = fed.topology();
+  sim::NodeId target = 0;
+  for (sim::NodeId i = 0; i < 10; ++i) {
+    if (topo.depth(i) == topo.height()) target = i;
+  }
+  ASSERT_NE(target, topo.root());
+  // Node `target` holds one record at attr0 = (target + 0.5) / 10, in
+  // the middle of a 0.02-wide histogram bucket. A range inside that
+  // bucket but clear of the record passes every summary on the way
+  // down and matches nothing at `target`.
+  const double value = (target + 0.5) / 10.0;
+  const auto q = query_attr0(value + 0.004, value + 0.008);
+
+  auto& fps = fed.metrics().counter("roads.query.false_positives");
+  auto& neg_hits = fed.metrics().counter("roads.query.cache.neg_hit");
+  const auto fps_before = fps.value();
+  fed.trace()->clear();
+  for (int round = 0; round < 3; ++round) {
+    const auto outcome = fed.run_query(q, topo.root());
+    ASSERT_TRUE(outcome.complete);
+    EXPECT_EQ(outcome.matching_records, 0u);
+  }
+  EXPECT_GE(neg_hits.value(), 2u) << "repeats were not negative-cached";
+  EXPECT_GE(fps.value() - fps_before, 3u);
+  EXPECT_EQ(fed.trace()->events_of(obs::TraceKind::kQueryFalsePositive).size(),
+            fps.value() - fps_before);
+  EXPECT_EQ(fed.trace()->dropped(obs::TraceKind::kQueryFalsePositive), 0u);
 }
 
 }  // namespace

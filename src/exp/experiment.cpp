@@ -151,6 +151,19 @@ void write_run_observability(core::Federation& fed, const ExpConfig& config,
 
 }  // namespace
 
+void attach_detailed_owners(core::Federation& fed,
+                            const workload::RecordGenerator& generator) {
+  for (std::size_t n = 0; n < fed.server_count(); ++n) {
+    const auto node = static_cast<sim::NodeId>(n);
+    auto owner = fed.add_owner(node, core::ExportMode::kDetailedRecords);
+    for (auto& r : generator.records_for_node(static_cast<std::uint32_t>(n),
+                                              owner->id())) {
+      owner->store().insert(std::move(r));
+    }
+    fed.server(node).attach_owner(owner, core::ExportMode::kDetailedRecords);
+  }
+}
+
 RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
   const auto run_start = std::chrono::steady_clock::now();
   const auto wall_s = [](std::chrono::steady_clock::time_point from) {
@@ -192,17 +205,7 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
   core::Federation fed(std::move(params));
   fed.add_servers(config.nodes);
 
-  // Every server hosts one co-located owner exporting detailed records
-  // (the owner-hosts-its-own-server pattern of Fig. 1).
-  for (std::size_t n = 0; n < config.nodes; ++n) {
-    const auto node = static_cast<sim::NodeId>(n);
-    auto owner = fed.add_owner(node, core::ExportMode::kDetailedRecords);
-    for (auto& r : generator.records_for_node(static_cast<std::uint32_t>(n),
-                                              owner->id())) {
-      owner->store().insert(std::move(r));
-    }
-    fed.server(node).attach_owner(owner, core::ExportMode::kDetailedRecords);
-  }
+  attach_detailed_owners(fed, generator);
 
   fed.start();
   // Telemetry sampler: attached after formation (add_server drains the

@@ -18,6 +18,13 @@
 #include "sim/time.h"
 #include "util/stats.h"
 
+namespace roads::core {
+class Federation;
+}  // namespace roads::core
+namespace roads::workload {
+class RecordGenerator;
+}  // namespace roads::workload
+
 namespace roads::exp {
 
 /// One experiment's parameter point. Defaults are the paper's §V
@@ -176,6 +183,13 @@ struct RunMetrics {
   /// averaged element-wise across repetitions.
   util::MetricSet instruments;
 };
+
+/// Gives every server of `fed` one co-located owner exporting detailed
+/// records, filled from `generator` (the owner-hosts-its-own-server
+/// pattern of Fig. 1). The one owner-population rule of the experiment,
+/// load and scenario drivers.
+void attach_detailed_owners(core::Federation& fed,
+                            const workload::RecordGenerator& generator);
 
 /// Runs ROADS once at this parameter point. `run_seed` perturbs
 /// topology, data and queries; the paper averages 10 such runs.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "central/central_repository.h"
+#include "exp/experiment.h"
 #include "record/schema.h"
 #include "roads/federation.h"
 #include "store/service_model.h"
@@ -107,15 +108,7 @@ LoadMetrics run_roads_load(const LoadConfig& config) {
 
   core::Federation fed(std::move(params));
   fed.add_servers(config.nodes);
-  for (std::size_t n = 0; n < config.nodes; ++n) {
-    const auto node = static_cast<sim::NodeId>(n);
-    auto owner = fed.add_owner(node, core::ExportMode::kDetailedRecords);
-    for (auto& r : generator.records_for_node(static_cast<std::uint32_t>(n),
-                                              owner->id())) {
-      owner->store().insert(std::move(r));
-    }
-    fed.server(node).attach_owner(owner, core::ExportMode::kDetailedRecords);
-  }
+  attach_detailed_owners(fed, generator);
   fed.start();
   fed.stabilize();
   // Summaries held steady through the measurement, like the closed-loop

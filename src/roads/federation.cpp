@@ -245,11 +245,8 @@ QueryOutcome Federation::run_query_scoped(const record::Query& query,
   const auto result_bytes_before =
       network_.meter(sim::Channel::kResult).bytes;
 
-  auto client = std::make_shared<RoadsClient>(network_, *this, query,
-                                              start_server, principal,
-                                              config_.collect_results);
-  client->set_scope(scope_levels);
-  client->start(start_server);
+  const auto client =
+      issue_query(query, start_server, principal, scope_levels);
   std::size_t guard = 0;
   while (!client->done() && drive_steps(1) > 0) {
     if (++guard > 50'000'000) {
@@ -273,19 +270,7 @@ QueryOutcome Federation::run_query_scoped(const record::Query& query,
   out.sheds = r.sheds;
   out.rejected = r.rejected;
 
-  // Load accounting for the telemetry probes: which servers this query
-  // touched, plus the completed-count/latency instruments the Timeline
-  // turns into per-window query rates and windowed quantiles.
-  if (query_visits_.size() < servers_.size()) {
-    query_visits_.resize(servers_.size(), 0);
-  }
-  for (const auto node : out.contacted) {
-    if (node < query_visits_.size()) ++query_visits_[node];
-  }
-  if (out.complete) {
-    metrics_.counter("roads.query.completed").inc();
-    metrics_.histogram("roads.query.latency_ms").record(out.latency_ms);
-  }
+  note_query_complete(*client);
 
   // Critical-path attribution (tracing on): rebuild this query's span
   // tree from the buffered events and split the measured latency into
@@ -323,15 +308,20 @@ QueryOutcome Federation::run_query_scoped(const record::Query& query,
 
 std::shared_ptr<RoadsClient> Federation::issue_query(const record::Query& query,
                                                      sim::NodeId start_server,
-                                                     Principal principal) {
+                                                     Principal principal,
+                                                     unsigned scope_levels) {
   auto client = std::make_shared<RoadsClient>(network_, *this, query,
                                               start_server, principal,
                                               config_.collect_results);
+  client->set_scope(scope_levels);
   client->start(start_server);
   return client;
 }
 
 void Federation::note_query_complete(const RoadsClient& client) {
+  // Load accounting for the telemetry probes: which servers this query
+  // touched, plus the completed-count/latency instruments the Timeline
+  // turns into per-window query rates and windowed quantiles.
   if (query_visits_.size() < servers_.size()) {
     query_visits_.resize(servers_.size(), 0);
   }

@@ -115,7 +115,7 @@ class Federation : public Directory {
   /// server's machine; remote ones get their own point in the delay
   /// space and answer summary-mode queries themselves. The returned
   /// owner's store starts empty — fill it, then call attach_owner on
-  /// the server (or use this overload's auto-attach).
+  /// the server. `mode` is unused: attach_owner takes it.
   std::shared_ptr<ResourceOwner> add_owner(sim::NodeId attach_to,
                                            ExportMode mode,
                                            bool colocated = true);
@@ -164,10 +164,11 @@ class Federation : public Directory {
   /// schedules arrivals itself, keeps many clients in flight, and
   /// polls done(); call note_query_complete exactly once per finished
   /// client to fold it into the visit/latency accounting run_query
-  /// performs inline.
-  std::shared_ptr<RoadsClient> issue_query(const record::Query& query,
-                                           sim::NodeId start_server,
-                                           Principal principal = kAnonymous);
+  /// performs too. `scope_levels` is run_query_scoped's.
+  std::shared_ptr<RoadsClient> issue_query(
+      const record::Query& query, sim::NodeId start_server,
+      Principal principal = kAnonymous,
+      unsigned scope_levels = RoadsClient::kUnlimitedScope);
 
   /// Folds a finished open-loop client into query_visits_ and the
   /// completed-count / latency instruments (no-op counters for

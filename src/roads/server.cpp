@@ -88,74 +88,62 @@ void RoadsServer::become_root() {
 void RoadsServer::start_timers() {
   if (timers_started_) return;
   timers_started_ = true;
-  auto& sim = network_.simulator();
-  // Closures armed now die with this life epoch: after a crash+restart
-  // the pre-crash timer chains must not resume next to the new ones.
-  const std::uint64_t epoch = life_epoch_;
 
   // Stagger the first refresh so all servers do not fire in lockstep;
   // the offset is deterministic per seed.
   const auto first_refresh = static_cast<sim::Time>(
       rng_.uniform(0.0, static_cast<double>(sim::seconds(1))));
-  // Self-rescheduling closures: each tick re-arms itself unless the
-  // server has stopped. The tick body lives once in a shared
-  // UniqueFunction; every arm schedules a 16-byte [tick] trampoline, so
-  // re-arming never copies (or re-allocates) the closure state. The
-  // body holds itself only weakly — the pending trampoline owns the
-  // one strong reference, so a drained or destroyed simulator releases
-  // the chain instead of leaking a shared_ptr cycle.
-  auto schedule_refresh = std::make_shared<util::UniqueFunction<void()>>();
-  *schedule_refresh =
-      [this, epoch, weak = std::weak_ptr(schedule_refresh)] {
-        if (!alive_ || life_epoch_ != epoch) return;
-        if (!refresh_paused_) refresh_summaries();
-        if (auto tick = weak.lock()) {
-          network_.simulator().schedule_after(
-              config_.summary_refresh_period, [tick] { (*tick)(); });
-        }
-      };
-  {
-    // Tick bodies profile as refresh-timer work; their re-arms inherit
-    // the category from the executing handler automatically.
-    obs::ScopedProfCategory prof_tag(obs::ProfCategory::kTimerRefresh);
-    sim.schedule_after(first_refresh,
-                       [tick = std::move(schedule_refresh)] { (*tick)(); });
-  }
-
+  arm_periodic(first_refresh, config_.summary_refresh_period,
+               obs::ProfCategory::kTimerRefresh, &RoadsServer::on_refresh_timer);
   if (!config_.maintenance_enabled) return;
 
   // Failure detection starts now: reset the heartbeat clocks so peers
   // that joined long before the timers started are not instantly
   // declared dead.
-  last_parent_heartbeat_ = sim.now();
-  children_.touch_all(sim.now());
+  const auto now = network_.simulator().now();
+  last_parent_heartbeat_ = now;
+  children_.touch_all(now);
 
   const auto first_hb = static_cast<sim::Time>(
       rng_.uniform(0.0, static_cast<double>(config_.heartbeat_period)));
-  auto schedule_hb = std::make_shared<util::UniqueFunction<void()>>();
-  *schedule_hb = [this, epoch, weak = std::weak_ptr(schedule_hb)] {
-    if (!alive_ || life_epoch_ != epoch) return;
-    on_heartbeat_timer();
-    if (auto tick = weak.lock()) {
-      network_.simulator().schedule_after(config_.heartbeat_period,
-                                          [tick] { (*tick)(); });
-    }
-  };
-  obs::ScopedProfCategory prof_tag(obs::ProfCategory::kTimerMaintenance);
-  sim.schedule_after(first_hb, [tick = std::move(schedule_hb)] { (*tick)(); });
-
-  auto schedule_check = std::make_shared<util::UniqueFunction<void()>>();
-  *schedule_check = [this, epoch, weak = std::weak_ptr(schedule_check)] {
-    if (!alive_ || life_epoch_ != epoch) return;
-    on_failure_check_timer();
-    if (auto tick = weak.lock()) {
-      network_.simulator().schedule_after(config_.heartbeat_period,
-                                          [tick] { (*tick)(); });
-    }
-  };
+  arm_periodic(first_hb, config_.heartbeat_period,
+               obs::ProfCategory::kTimerMaintenance,
+               &RoadsServer::on_heartbeat_timer);
   // Offset the sweep by half a period so checks interleave heartbeats.
-  sim.schedule_after(first_hb + config_.heartbeat_period / 2,
-                     [tick = std::move(schedule_check)] { (*tick)(); });
+  arm_periodic(first_hb + config_.heartbeat_period / 2,
+               config_.heartbeat_period, obs::ProfCategory::kTimerMaintenance,
+               &RoadsServer::on_failure_check_timer);
+}
+
+void RoadsServer::arm_periodic(sim::Time first, sim::Time period,
+                               obs::ProfCategory category,
+                               void (RoadsServer::*body)()) {
+  // Each tick re-arms itself unless the server stopped. The tick body
+  // lives once in a shared UniqueFunction; every arm schedules a 16-byte
+  // [tick] trampoline, so re-arming never copies (or re-allocates) the
+  // closure state. The body holds itself only weakly — the pending
+  // trampoline owns the one strong reference, so a drained or destroyed
+  // simulator releases the chain instead of leaking a shared_ptr cycle.
+  // Closures armed now die with this life epoch: after a crash+restart
+  // the pre-crash chains must not resume next to the new ones.
+  auto tick = std::make_shared<util::UniqueFunction<void()>>();
+  *tick = [this, epoch = life_epoch_, period, body,
+           weak = std::weak_ptr(tick)] {
+    if (!alive_ || life_epoch_ != epoch) return;
+    (this->*body)();
+    if (auto self = weak.lock()) {
+      network_.simulator().schedule_after(period, [self] { (*self)(); });
+    }
+  };
+  // Tick bodies profile as `category`; their re-arms inherit it from
+  // the executing handler automatically.
+  obs::ScopedProfCategory prof_tag(category);
+  network_.simulator().schedule_after(first,
+                                      [tick = std::move(tick)] { (*tick)(); });
+}
+
+void RoadsServer::on_refresh_timer() {
+  if (!refresh_paused_) refresh_summaries();
 }
 
 void RoadsServer::leave() {
@@ -175,18 +163,14 @@ void RoadsServer::leave() {
                    });
   }
   trace_event(obs::TraceKind::kLeave, parent_.value_or(id_));
-  alive_ = false;
-  ++life_epoch_;
-  network_.set_node_up(id_, false);
-  // Queued queries die with the server; their clients time out.
-  query_queue_.clear();
-  active_queries_ = 0;
+  fail();
 }
 
 void RoadsServer::fail() {
   alive_ = false;
   ++life_epoch_;
   network_.set_node_up(id_, false);
+  // Queued queries die with the server; their clients time out.
   query_queue_.clear();
   active_queries_ = 0;
 }
@@ -244,26 +228,9 @@ void RoadsServer::restart(sim::NodeId seed) {
 void RoadsServer::attach_owner(std::shared_ptr<ResourceOwner> owner,
                                ExportMode mode) {
   Attachment att;
-  att.owner = owner;
+  att.owner = std::move(owner);
   att.mode = mode;
-  if (mode == ExportMode::kDetailedRecords) {
-    // The owner ships raw records; remote exports cost update traffic.
-    std::uint64_t bytes = 0;
-    for (const auto& r : owner->store().snapshot()) {
-      bytes += r.wire_size();
-      store_.insert(r);
-    }
-    if (owner->node() != id_) {
-      network_.send(owner->node(), id_, bytes, sim::Channel::kUpdate, [] {});
-    }
-  } else {
-    att.summary = std::make_shared<const summary::ResourceSummary>(
-        owner->export_summary(config_.summary));
-    if (owner->node() != id_) {
-      network_.send(owner->node(), id_, msg::summary_update(*att.summary),
-                    sim::Channel::kUpdate, [] {});
-    }
-  }
+  export_owner(att);
   attachments_.push_back(std::move(att));
 }
 
@@ -272,27 +239,31 @@ void RoadsServer::reexport_owner(record::OwnerId owner_id) {
     if (att.owner->id() != owner_id) continue;
     if (att.mode == ExportMode::kDetailedRecords) {
       // Replace this owner's records wholesale (soft-state refresh).
-      std::uint64_t bytes = 0;
       for (const auto& r : store_.snapshot()) {
         if (r.owner() == owner_id) store_.erase(r.id());
       }
-      for (const auto& r : att.owner->store().snapshot()) {
-        bytes += r.wire_size();
-        store_.insert(r);
-      }
-      if (att.owner->node() != id_) {
-        network_.send(att.owner->node(), id_, bytes, sim::Channel::kUpdate,
-                      [] {});
-      }
-    } else {
-      att.summary = std::make_shared<const summary::ResourceSummary>(
-          att.owner->export_summary(config_.summary));
-      if (att.owner->node() != id_) {
-        network_.send(att.owner->node(), id_, msg::summary_update(*att.summary),
-                      sim::Channel::kUpdate, [] {});
-      }
     }
+    export_owner(att);
     return;
+  }
+}
+
+void RoadsServer::export_owner(Attachment& att) {
+  std::uint64_t bytes = 0;
+  if (att.mode == ExportMode::kDetailedRecords) {
+    // The owner ships raw records.
+    for (const auto& r : att.owner->store().snapshot()) {
+      bytes += r.wire_size();
+      store_.insert(r);
+    }
+  } else {
+    att.summary = std::make_shared<const summary::ResourceSummary>(
+        att.owner->export_summary(config_.summary));
+    bytes = msg::summary_update(*att.summary);
+  }
+  // Remote exports cost update traffic.
+  if (att.owner->node() != id_) {
+    network_.send(att.owner->node(), id_, bytes, sim::Channel::kUpdate, [] {});
   }
 }
 
@@ -380,15 +351,7 @@ void RoadsServer::refresh_summaries() {
   if (parent_) {
     const auto digest = branch_summary_->digest();
     if (keepalive || parent_push_digest_ != digest) {
-      parent_push_digest_ = digest;
-      const auto stats = children_.aggregate();
-      last_pushed_stats_ = stats;
-      send_to_server(
-          *parent_, msg::summary_update(*branch_summary_),
-          sim::Channel::kUpdate,
-          [child = id_, stats, s = branch_summary_, keepalive](RoadsServer& p) {
-            p.handle_child_summary(child, stats, s, keepalive);
-          });
+      push_branch_up(digest, keepalive);
     } else {
       summary_push_suppressed_.inc();
     }
@@ -405,6 +368,17 @@ void RoadsServer::refresh_summaries() {
                               overlay::ReplicaRole::kAncestor, 1},
                              local_summary_, keepalive);
   }
+}
+
+void RoadsServer::push_branch_up(std::uint64_t digest, bool keepalive) {
+  parent_push_digest_ = digest;
+  const auto stats = children_.aggregate();
+  last_pushed_stats_ = stats;
+  send_to_server(
+      *parent_, msg::summary_update(*branch_summary_), sim::Channel::kUpdate,
+      [child = id_, stats, s = branch_summary_, keepalive](RoadsServer& p) {
+        p.handle_child_summary(child, stats, s, keepalive);
+      });
 }
 
 void RoadsServer::handle_child_summary(sim::NodeId child,
@@ -589,6 +563,16 @@ void RoadsServer::handle_join_response(sim::NodeId responder,
                                        hierarchy::RootPath responder_path) {
   if (!join_.active || responder != join_.current) return;  // stale
   ++join_.request_seq;  // disarm the pending timeout
+  if (outcome == JoinOutcome::kAccepted && children_.has(responder)) {
+    // Crossed joins: we adopted the responder while it adopted us.
+    // Taking both accepts would close a two-cycle, so the lower id
+    // stays the parent and the higher id gives up its stale child.
+    if (id_ < responder) {
+      outcome = JoinOutcome::kBacktrack;
+    } else {
+      drop_child(responder);
+    }
+  }
 
   switch (outcome) {
     case JoinOutcome::kAccepted: {
@@ -605,16 +589,7 @@ void RoadsServer::handle_join_response(sim::NodeId responder,
       last_pushed_stats_ = hierarchy::BranchStats{};
       parent_push_digest_.reset();  // new parent: never suppress its first push
       push_stats_up();
-      if (branch_summary_) {
-        const auto stats = children_.aggregate();
-        parent_push_digest_ = branch_summary_->digest();
-        send_to_server(*parent_, msg::summary_update(*branch_summary_),
-                       sim::Channel::kUpdate,
-                       [child = id_, stats,
-                        s = branch_summary_](RoadsServer& p) {
-                         p.handle_child_summary(child, stats, s);
-                       });
-      }
+      if (branch_summary_) push_branch_up(branch_summary_->digest(), true);
       finish_join(true);
       return;
     }
@@ -725,11 +700,7 @@ void RoadsServer::on_failure_check_timer() {
     ROADS_INFO << "server " << id_ << ": child " << child << " timed out";
     heartbeat_misses_.inc();
     trace_event(obs::TraceKind::kHeartbeatMiss, child);
-    children_.remove(child);
-    child_summaries_.erase(child);
-    pushed_digests_.erase(child);
-    mark_summary_state_dirty();
-    push_stats_up();
+    drop_child(child);
   }
 
   // Parent that went silent.
@@ -744,15 +715,7 @@ void RoadsServer::on_failure_check_timer() {
   // Partition recovery: a root that got here by failed rejoin keeps
   // retrying its old contacts so partitions re-merge when possible.
   if (is_root() && !recovery_candidates_.empty() && !join_.active) {
-    join_ = JoinState{};
-    join_.active = true;
-    join_.current = recovery_candidates_.front();
-    join_.fallbacks.assign(recovery_candidates_.begin() + 1,
-                           recovery_candidates_.end());
-    join_.on_complete = [this](bool ok) {
-      if (!ok) become_root();  // stay a partition root; retry later
-    };
-    send_join_request(join_.current);
+    rejoin(recovery_candidates_);
   }
 
   if (replicas_.sweep(now) > 0) mark_summary_state_dirty();
@@ -760,81 +723,70 @@ void RoadsServer::on_failure_check_timer() {
 
 void RoadsServer::parent_lost() {
   const auto old_path = root_path_;
-  const auto old_parent = parent_;
   const bool parent_was_root =
       parent_ && old_path.length() >= 2 && old_path.root() == *parent_;
   parent_.reset();
   parent_push_digest_.reset();
 
+  std::vector<sim::NodeId> candidates;
   if (parent_was_root) {
     // Root election (§III-A): the root's children elect the one with
     // the smallest id, learned from the root's heartbeat children list.
-    std::vector<sim::NodeId> electorate = root_children_;
-    electorate.push_back(id_);
-    const sim::NodeId elected =
-        *std::min_element(electorate.begin(), electorate.end());
-    if (elected == id_) {
+    // Sorted, the winner comes first and the other members double as
+    // fallbacks if it died too.
+    for (const auto n : root_children_) {
+      if (n != id_) candidates.push_back(n);
+    }
+    std::sort(candidates.begin(), candidates.end());
+    if (candidates.empty() || id_ < candidates.front()) {
       ROADS_INFO << "server " << id_ << ": elected new root";
       trace_event(obs::TraceKind::kRootElection, id_);
       become_root();
       // The detection may have been a false positive (lost heartbeats);
       // keep the old root as a recovery contact so a spurious
       // self-election re-merges instead of splitting the tree.
-      recovery_candidates_.clear();
-      if (old_parent) recovery_candidates_.push_back(*old_parent);
+      recovery_candidates_.assign(1, old_path.root());
       return;
     }
-    join_ = JoinState{};
-    join_.active = true;
-    join_.current = elected;
-    // Other electorate members double as fallbacks if the winner died;
-    // if every candidate is gone, stand up as root and keep retrying
-    // (partition recovery).
-    std::sort(electorate.begin(), electorate.end());
-    for (const auto n : electorate) {
-      if (n != elected && n != id_) join_.fallbacks.push_back(n);
+  } else {
+    // Rejoin starting at the grandparent, then one level up at a time
+    // (§III-A Hierarchy Maintenance).
+    candidates = old_path.rejoin_candidates();
+    if (candidates.empty()) {
+      // No ancestors known; become root of our own partition.
+      become_root();
+      return;
     }
-    recovery_candidates_.clear();
-    for (const auto n : electorate) {
-      if (n != id_) recovery_candidates_.push_back(n);
-    }
-    join_.on_complete = [this](bool ok) {
-      if (!ok) become_root();  // recovery_candidates_ keeps us retrying
-    };
-    rejoins_.inc();
-    trace_event(obs::TraceKind::kRejoin, elected);
-    send_join_request(elected);
-    return;
   }
+  recovery_candidates_ = std::move(candidates);
+  rejoins_.inc();
+  trace_event(obs::TraceKind::kRejoin, recovery_candidates_.front());
+  rejoin(recovery_candidates_);
+}
 
-  // Rejoin starting at the grandparent, then one level up at a time
-  // (§III-A Hierarchy Maintenance).
-  auto candidates = old_path.rejoin_candidates();
-  if (candidates.empty()) {
-    // No ancestors known; become root of our own partition.
-    become_root();
-    return;
-  }
+void RoadsServer::rejoin(const std::vector<sim::NodeId>& candidates) {
   join_ = JoinState{};
   join_.active = true;
   join_.current = candidates.front();
   join_.fallbacks.assign(candidates.begin() + 1, candidates.end());
-  recovery_candidates_ = candidates;
+  // If every candidate is gone, stand up as root; recovery_candidates_
+  // keeps the maintenance timer retrying (partition recovery).
   join_.on_complete = [this](bool ok) {
-    if (!ok) become_root();  // recovery_candidates_ keeps us retrying
+    if (!ok) become_root();
   };
-  rejoins_.inc();
-  trace_event(obs::TraceKind::kRejoin, join_.current);
   send_join_request(join_.current);
 }
 
-void RoadsServer::handle_leave_from_child(sim::NodeId child) {
-  if (!children_.has(child)) return;
+void RoadsServer::drop_child(sim::NodeId child) {
   children_.remove(child);
   child_summaries_.erase(child);
   pushed_digests_.erase(child);
   mark_summary_state_dirty();
   push_stats_up();
+}
+
+void RoadsServer::handle_leave_from_child(sim::NodeId child) {
+  if (children_.has(child)) drop_child(child);
 }
 
 void RoadsServer::handle_leave_from_parent(sim::NodeId parent) {

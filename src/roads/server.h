@@ -28,6 +28,7 @@
 #include "hierarchy/join_policy.h"
 #include "hierarchy/root_path.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 #include "overlay/replica_store.h"
 #include "record/schema.h"
@@ -75,7 +76,7 @@ class RoadsServer : public QueryTarget {
   /// query batches so latency is measured under steady summaries.
   void set_refresh_paused(bool paused) { refresh_paused_ = paused; }
 
-  /// Graceful departure: notify parent and children, then go silent.
+  /// Graceful departure: notify parent and children, then fail().
   void leave();
   /// Abrupt failure: timers stop, the network drops this node's
   /// traffic; peers find out via heartbeat timeouts.
@@ -170,11 +171,23 @@ class RoadsServer : public QueryTarget {
                             hierarchy::RootPath responder_path);
   void send_join_request(sim::NodeId target);
   void finish_join(bool success);
+  /// Joins `candidates.front()`, falling back through the rest in order
+  /// and becoming a (partition) root if every one fails. The one rejoin
+  /// path for parent loss, root election and partition-recovery retries.
+  void rejoin(const std::vector<sim::NodeId>& candidates);
+
+  /// Copies the owner's records into the store (kDetailedRecords) or
+  /// exports its summary (kSummaryOnly); a remote owner's export is
+  /// charged as update traffic.
+  void export_owner(Attachment& att);
 
   /// Recomputes this node's aggregate stats and pushes them up if they
   /// changed (keeps join steering accurate between refresh rounds).
   void push_stats_up();
 
+  /// Sends the branch summary (whose digest is `digest`) and branch
+  /// stats to the parent, recording both as the last pushed.
+  void push_branch_up(std::uint64_t digest, bool keepalive);
   void refresh_attachment_summaries(bool keepalive);
   SummaryPtr compute_local_summary();
   SummaryPtr compute_branch_summary() const;
@@ -191,9 +204,18 @@ class RoadsServer : public QueryTarget {
   bool note_push(sim::NodeId dest, sim::NodeId origin, std::uint8_t kind,
                  std::uint64_t digest, bool keepalive);
 
+  /// Schedules `body` at `first` and then every `period` until the
+  /// server fails, leaves or restarts (the life epoch changes). The
+  /// first event and its re-arms profile as `category`.
+  void arm_periodic(sim::Time first, sim::Time period,
+                    obs::ProfCategory category, void (RoadsServer::*body)());
+  void on_refresh_timer();
   void on_heartbeat_timer();
   void on_failure_check_timer();
   void parent_lost();
+  /// Forgets a departed or silent child: its entry, branch summary and
+  /// suppression digests.
+  void drop_child(sim::NodeId child);
 
   // --- Query serving internals (admission + caching) ------------------------
   /// Starts serving an admitted query: a cached reply holds the

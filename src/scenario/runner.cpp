@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "exp/experiment.h"
 #include "exp/telemetry.h"
 #include "obs/profile.h"
 #include "obs/timeline.h"
@@ -217,15 +218,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec,
 
   workload::RecordGenerator generator(schema, wspec, spec.seed);
   generator.anchor_by_balanced_tree(spec.nodes, spec.max_children);
-  for (std::size_t n = 0; n < spec.nodes; ++n) {
-    const auto node = static_cast<sim::NodeId>(n);
-    auto owner = fed.add_owner(node, core::ExportMode::kDetailedRecords);
-    for (auto& r : generator.records_for_node(static_cast<std::uint32_t>(n),
-                                              owner->id())) {
-      owner->store().insert(std::move(r));
-    }
-    fed.server(node).attach_owner(owner, core::ExportMode::kDetailedRecords);
-  }
+  exp::attach_detailed_owners(fed, generator);
   fed.start();
 
   // Telemetry rides manual ticks only — never timeline->start(): a

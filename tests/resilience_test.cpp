@@ -4,6 +4,8 @@
 // a repair that "looks" healed but left broken bookkeeping fails here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "roads/federation.h"
@@ -299,6 +301,43 @@ TEST(Resilience, PartitionedRootElectionConvergesToSingleRoot) {
   const auto topo = fed.topology();
   EXPECT_EQ(topo.subtree(topo.root()).size(), 12u);
   expect_invariants(fed);
+}
+
+// Regression for crossed joins during root election (§III-A): crash
+// the root and the election winner (its smallest-id child) together.
+// Both survivors time out on the dead winner and fall back to each
+// other; each may adopt the other before either accept arrives, which
+// used to close a permanent two-cycle whose root paths grew by one hop
+// every heartbeat. The lower id must stay the parent.
+TEST(Resilience, ElectionFallsBackPastDeadWinner) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    auto params = resilient_params();
+    params.seed = seed;
+    Federation fed(params);
+    fed.add_servers(4);
+    seed_identifiable(fed, 4);
+    fed.start();
+    fed.stabilize();
+
+    const auto topo = fed.topology();
+    const auto& kids = topo.children(topo.root());
+    ASSERT_FALSE(kids.empty());
+    fed.server(topo.root()).fail();
+    fed.server(*std::min_element(kids.begin(), kids.end())).fail();
+    fed.advance(sim::seconds(120));
+    fed.stabilize(2);
+
+    std::size_t roots = 0;
+    for (auto* s : fed.servers()) {
+      if (s->alive() && s->is_root()) ++roots;
+    }
+    EXPECT_EQ(roots, 1u);
+    if (roots != 1) continue;
+    const auto after = fed.topology();
+    EXPECT_EQ(after.subtree(after.root()).size(), 2u);
+    expect_invariants(fed);
+  }
 }
 
 }  // namespace

@@ -203,6 +203,17 @@ TEST(Protocol, RemoteSummaryExportIsCharged) {
   const auto bytes = fed.network().meter(sim::Channel::kUpdate).bytes;
   EXPECT_GT(bytes, 0u);
   EXPECT_GE(bytes, owner->export_summary(fed.config().summary).wire_size());
+
+  // Re-exporting after the owner's data changed charges exactly one
+  // more update message, sized for the new export.
+  const auto before = fed.network().meter(sim::Channel::kUpdate);
+  owner->store().update(rec(1, 0.8));
+  fed.server(2).reexport_owner(owner->id());
+  const auto after = fed.network().meter(sim::Channel::kUpdate);
+  EXPECT_EQ(after.messages, before.messages + 1);
+  EXPECT_EQ(after.bytes - before.bytes,
+            core::msg::summary_update(
+                owner->export_summary(fed.config().summary)));
 }
 
 TEST(Protocol, ColocatedExportIsFree) {

@@ -203,7 +203,9 @@ TEST(DelaySpace, LinkExtrasAreDirectedAndHealable) {
   // conservative lookahead for the sharded engine.
   for (NodeId i = 0; i < 8; ++i) {
     for (NodeId j = 0; j < 8; ++j) {
-      if (i != j) EXPECT_GE(space.latency(i, j), space.min_latency());
+      if (i != j) {
+        EXPECT_GE(space.latency(i, j), space.min_latency());
+      }
     }
   }
   // Setting an extra of 0 removes that override; clear heals all.

@@ -268,10 +268,6 @@ class Profiler {
   Profile profile() const;
   Profile take_profile();
 
-  /// Snapshot cost distribution (exponential-bucket histogram fed by
-  /// the thread-CPU ScopedTimer clock).
-  const Histogram& flush_cost() const { return flush_hist_; }
-
  private:
   Profile build_profile() const;
 

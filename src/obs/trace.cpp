@@ -121,15 +121,6 @@ std::vector<TraceEvent> TraceBuffer::span_events(std::uint64_t span) const {
   return out;
 }
 
-std::vector<TraceEvent> TraceBuffer::trace_events(std::uint64_t trace) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TraceEvent> out;
-  for (const auto& ev : ring_) {
-    if (ev.trace == trace) out.push_back(ev);
-  }
-  return out;
-}
-
 std::vector<TraceEvent> TraceBuffer::events_of(TraceKind kind) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<TraceEvent> out;

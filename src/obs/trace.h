@@ -117,8 +117,6 @@ class TraceBuffer {
   std::vector<TraceEvent> events() const;
   /// Oldest-first snapshot restricted to one span id.
   std::vector<TraceEvent> span_events(std::uint64_t span) const;
-  /// Oldest-first snapshot restricted to one causal tree (root span id).
-  std::vector<TraceEvent> trace_events(std::uint64_t trace) const;
   /// Oldest-first snapshot restricted to one kind.
   std::vector<TraceEvent> events_of(TraceKind kind) const;
 

@@ -67,7 +67,7 @@ void RoadsClient::visit(sim::NodeId target, QueryMode mode) {
                   directory_.query_target(target).handle_query(self, mode);
                 });
   network_.simulator().schedule_after(
-      reply_timeout_, [self, target] { self->on_reply_timeout(target); });
+      kReplyTimeout, [self, target] { self->on_reply_timeout(target); });
 }
 
 void RoadsClient::on_reply_timeout(sim::NodeId server) {

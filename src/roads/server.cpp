@@ -834,21 +834,24 @@ void RoadsServer::handle_query(std::shared_ptr<RoadsClient> client,
 
   if (active_queries_ < slot_limit()) {
     ++active_queries_;
-    begin_query(std::move(client), mode);
+    begin_query(std::move(client), mode, network_.trace_context());
   } else if (query_queue_.size() < config_.query_queue_limit) {
-    query_queue_.push_back(QueuedQuery{std::move(client), mode});
+    query_queue_.push_back(
+        QueuedQuery{std::move(client), mode, network_.trace_context()});
   } else {
     shed_query(client);
   }
 }
 
 void RoadsServer::begin_query(std::shared_ptr<RoadsClient> client,
-                              QueryMode mode) {
+                              QueryMode mode,
+                              const obs::TraceContext& arrival) {
   // The processing span opens at evaluation start so admission queueing
-  // time is not attributed to per-hop processing. The deferred closure
-  // re-enters the captured context: raw schedule_after timers run
-  // outside any delivery scope.
-  const auto proc = network_.begin_span(id_, "proc");
+  // time is not attributed to per-hop processing; it parents under the
+  // arrival's context, which a queued query no longer runs in. The
+  // deferred closure re-enters the captured context: raw schedule_after
+  // timers run outside any delivery scope.
+  const auto proc = network_.begin_span_under(arrival, id_, "proc");
   std::shared_ptr<const QueryReply> cached;
   if (config_.query_cache_enabled) {
     cached = query_cache_.find(cache_key(*client, mode));
@@ -1029,7 +1032,7 @@ void RoadsServer::finish_query() {
     auto next = std::move(query_queue_.front());
     query_queue_.pop_front();
     ++active_queries_;
-    begin_query(std::move(next.client), next.mode);
+    begin_query(std::move(next.client), next.mode, next.arrival);
   }
 }
 

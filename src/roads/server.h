@@ -220,8 +220,10 @@ class RoadsServer : public QueryTarget {
   // --- Query serving internals (admission + caching) ------------------------
   /// Starts serving an admitted query: a cached reply holds the
   /// evaluation slot for the hit delay, a miss for the full processing
-  /// delay, after which it is evaluated and fills the caches.
-  void begin_query(std::shared_ptr<RoadsClient> client, QueryMode mode);
+  /// delay, after which it is evaluated and fills the caches. Its `proc`
+  /// span opens under `arrival`, the context the query arrived in.
+  void begin_query(std::shared_ptr<RoadsClient> client, QueryMode mode,
+                   const obs::TraceContext& arrival);
   /// Bumps the reply's false-positive and shortcut meters, then sends
   /// it. Runs under the `proc` span.
   void serve(const std::shared_ptr<RoadsClient>& client,
@@ -354,6 +356,7 @@ class RoadsServer : public QueryTarget {
   struct QueuedQuery {
     std::shared_ptr<RoadsClient> client;
     QueryMode mode = QueryMode::kStart;
+    obs::TraceContext arrival;
   };
   /// Queries currently holding an evaluation slot (admission on).
   std::size_t active_queries_ = 0;

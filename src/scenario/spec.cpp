@@ -3,292 +3,295 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <initializer_list>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace roads::scenario {
 
 namespace {
 
-using util::JsonObject;
 using util::JsonValue;
 
 [[noreturn]] void fail_at(const std::string& where, const std::string& what) {
   throw std::runtime_error("scenario: " + where + ": " + what);
 }
 
-/// Rejects keys outside `allowed` so a typo ("crash_fractionn") fails
-/// loudly, naming the key and its position instead of silently running
-/// a weaker scenario.
-void check_keys(const JsonObject& obj, const std::string& where,
-                std::initializer_list<const char*> allowed) {
-  const std::set<std::string> ok(allowed.begin(), allowed.end());
-  for (const auto& [key, value] : obj) {
-    if (!ok.count(key)) {
-      fail_at(where, "unknown key \"" + key + "\"");
-    }
-  }
+/// Per-key range rule. Integers read kPositive as ">= 1".
+enum class Rule { kAny, kPositive, kUnit };
+
+// --- The schema: one field list per block ---
+//
+// Each list names every key of its block once, with its member and
+// range rule. The same list drives the strict parse (Reader) and the
+// canonical serialization (Writer), so the list order is the emitted
+// key order. `name` titles the block's error position; `block` is an
+// optional nested object; `list` is a required non-empty array.
+
+template <class F>
+void fields(F& f, ChurnSpec& s) {
+  f.field("fraction", s.fraction, Rule::kUnit);
+  f.field("start_s", s.start_s);
+  f.field("spread_s", s.spread_s);
+  f.field("down_s", s.down_s);
+  f.field("rejoin", s.rejoin);
 }
 
-const JsonObject& as_object(const JsonValue& v, const std::string& where) {
-  if (!v.is_object()) fail_at(where, "expected an object");
-  return v.as_object();
+template <class F>
+void fields(F& f, FlashCrowdSpec& s) {
+  f.field("attribute", s.attribute);
+  f.field("center", s.center, Rule::kUnit);
+  f.field("width", s.width);
+  f.field("weight", s.weight, Rule::kUnit);
+  f.field("queries", s.queries);
+  f.field("dimensions", s.dimensions);
+  f.field("range_length", s.range_length);
 }
 
-double num(const JsonObject& obj, const std::string& where,
-           const std::string& key, double fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end()) return fallback;
-  if (!it->second.is_number()) {
-    fail_at(where, "key \"" + key + "\" must be a number");
-  }
-  return it->second.as_number();
+template <class F>
+void fields(F& f, FlapSpec& s) {
+  f.field("flaps", s.flaps);
+  f.field("period_s", s.period_s, Rule::kPositive);
+  f.field("down_s", s.down_s, Rule::kPositive);
 }
 
-std::size_t count(const JsonObject& obj, const std::string& where,
-                  const std::string& key, std::size_t fallback) {
-  const double v = num(obj, where, key, static_cast<double>(fallback));
-  if (v < 0 || v != std::floor(v)) {
-    fail_at(where, "key \"" + key + "\" must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(v);
+template <class F>
+void fields(F& f, SlowLinksSpec& s) {
+  f.field("links", s.links);
+  f.field("extra_ms", s.extra_ms, Rule::kPositive);
+  f.field("asymmetric", s.asymmetric);
 }
 
-bool flag(const JsonObject& obj, const std::string& where,
-          const std::string& key, bool fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end()) return fallback;
-  if (!it->second.is_bool()) {
-    fail_at(where, "key \"" + key + "\" must be a boolean");
-  }
-  return it->second.as_bool();
+template <class F>
+void fields(F& f, PartitionSpec& s) {
+  f.field("start_s", s.start_s);
+  f.field("heal_after_s", s.heal_after_s, Rule::kPositive);
 }
 
-std::string text(const JsonObject& obj, const std::string& where,
-                 const std::string& key, const std::string& fallback) {
-  const auto it = obj.find(key);
-  if (it == obj.end()) return fallback;
-  if (!it->second.is_string()) {
-    fail_at(where, "key \"" + key + "\" must be a string");
-  }
-  return it->second.as_string();
+template <class F>
+void fields(F& f, MessageFaultSpec& s) {
+  f.field("loss", s.loss, Rule::kUnit);
+  f.field("duplicate", s.duplicate, Rule::kUnit);
+  f.field("reorder", s.reorder, Rule::kUnit);
+  f.field("max_jitter_ms", s.max_jitter_ms);
 }
 
-double positive(double v, const std::string& where, const char* key) {
-  if (!(v > 0)) {
-    fail_at(where, std::string("key \"") + key + "\" must be > 0");
-  }
-  return v;
+template <class F>
+void fields(F& f, StalenessAttackSpec& s) {
+  f.field("fraction", s.fraction, Rule::kUnit);
+  f.field("waves", s.waves);
+  f.field("queries", s.queries);
 }
 
-double rate(double v, const std::string& where, const char* key) {
-  if (v < 0 || v > 1) {
-    fail_at(where, std::string("key \"") + key + "\" must be in [0, 1]");
-  }
-  return v;
+template <class F>
+void fields(F& f, QueryLoadSpec& s) {
+  f.field("count", s.count);
+  f.field("dimensions", s.dimensions);
+  f.field("range_length", s.range_length);
 }
 
-ChurnSpec parse_churn(const JsonValue& v, const std::string& where) {
-  const auto& obj = as_object(v, where);
-  check_keys(obj, where,
-             {"fraction", "start_s", "spread_s", "down_s", "rejoin"});
-  ChurnSpec out;
-  out.fraction = rate(num(obj, where, "fraction", out.fraction), where,
-                      "fraction");
-  out.start_s = num(obj, where, "start_s", out.start_s);
-  out.spread_s = num(obj, where, "spread_s", out.spread_s);
-  out.down_s = num(obj, where, "down_s", out.down_s);
-  out.rejoin = flag(obj, where, "rejoin", out.rejoin);
-  return out;
+template <class F>
+void fields(F& f, OpenLoopSpec& s) {
+  f.field("rate_qps", s.rate_qps, Rule::kPositive);
+  f.field("process", s.process);
+  f.field("pareto_alpha", s.pareto_alpha, Rule::kPositive);
+  f.field("count", s.count, Rule::kPositive);
+  f.field("population", s.population, Rule::kPositive);
+  f.field("zipf_s", s.zipf_s);
+  f.field("dimensions", s.dimensions);
+  f.field("range_length", s.range_length);
 }
 
-FlashCrowdSpec parse_flash_crowd(const JsonValue& v,
-                                 const std::string& where) {
-  const auto& obj = as_object(v, where);
-  check_keys(obj, where, {"attribute", "center", "width", "weight", "queries",
-                          "dimensions", "range_length"});
-  FlashCrowdSpec out;
-  out.attribute = count(obj, where, "attribute", out.attribute);
-  out.center = rate(num(obj, where, "center", out.center), where, "center");
-  out.width = num(obj, where, "width", out.width);
-  out.weight = rate(num(obj, where, "weight", out.weight), where, "weight");
-  out.queries = count(obj, where, "queries", out.queries);
-  out.dimensions = count(obj, where, "dimensions", out.dimensions);
-  out.range_length = num(obj, where, "range_length", out.range_length);
-  return out;
+template <class F>
+void fields(F& f, PhaseSpec& s) {
+  f.name(s.name);
+  f.field("duration_s", s.duration_s, Rule::kPositive);
+  f.block("churn", s.churn);
+  f.block("flash_crowd", s.flash_crowd);
+  f.block("flapping", s.flapping);
+  f.block("slow_links", s.slow_links);
+  f.block("partition", s.partition);
+  f.block("message_faults", s.message_faults);
+  f.block("staleness_attack", s.staleness_attack);
+  f.block("queries", s.queries);
+  f.block("open_loop", s.open_loop);
+  f.field("expect_single_root", s.expect_single_root);
+  f.field("check_soundness", s.check_soundness);
 }
 
-FlapSpec parse_flapping(const JsonValue& v, const std::string& where) {
-  const auto& obj = as_object(v, where);
-  check_keys(obj, where, {"flaps", "period_s", "down_s"});
-  FlapSpec out;
-  out.flaps = count(obj, where, "flaps", out.flaps);
-  out.period_s = positive(num(obj, where, "period_s", out.period_s), where,
-                          "period_s");
-  out.down_s = positive(num(obj, where, "down_s", out.down_s), where,
-                        "down_s");
-  if (out.down_s >= out.period_s) {
+template <class F>
+void fields(F& f, ScenarioSpec& s) {
+  f.name(s.name);
+  f.field("description", s.description);
+  f.field("nodes", s.nodes);
+  f.field("records_per_node", s.records_per_node);
+  f.field("attributes", s.attributes, Rule::kPositive);
+  f.field("max_children", s.max_children, Rule::kPositive);
+  f.field("seed", s.seed);
+  f.field("refresh_period_s", s.refresh_period_s, Rule::kPositive);
+  f.field("heartbeat_s", s.heartbeat_s, Rule::kPositive);
+  f.field("probe_window_s", s.probe_window_s, Rule::kPositive);
+  f.field("query_cache", s.query_cache);
+  f.field("query_concurrency", s.query_concurrency);
+  f.field("query_queue_limit", s.query_queue_limit);
+  f.list("phases", s.phases);
+}
+
+// --- Rules that span several keys, run once a block has parsed ---
+
+template <class T>
+void check(const T&, const std::string&) {}
+
+void check(const FlapSpec& s, const std::string& where) {
+  if (s.down_s >= s.period_s) {
     fail_at(where, "key \"down_s\" must be shorter than \"period_s\"");
   }
-  return out;
 }
 
-SlowLinksSpec parse_slow_links(const JsonValue& v, const std::string& where) {
-  const auto& obj = as_object(v, where);
-  check_keys(obj, where, {"links", "extra_ms", "asymmetric"});
-  SlowLinksSpec out;
-  out.links = count(obj, where, "links", out.links);
-  out.extra_ms = positive(num(obj, where, "extra_ms", out.extra_ms), where,
-                          "extra_ms");
-  out.asymmetric = flag(obj, where, "asymmetric", out.asymmetric);
-  return out;
-}
-
-PartitionSpec parse_partition(const JsonValue& v, const std::string& where) {
-  const auto& obj = as_object(v, where);
-  check_keys(obj, where, {"start_s", "heal_after_s"});
-  PartitionSpec out;
-  out.start_s = num(obj, where, "start_s", out.start_s);
-  out.heal_after_s = positive(
-      num(obj, where, "heal_after_s", out.heal_after_s), where,
-      "heal_after_s");
-  return out;
-}
-
-MessageFaultSpec parse_message_faults(const JsonValue& v,
-                                      const std::string& where) {
-  const auto& obj = as_object(v, where);
-  check_keys(obj, where, {"loss", "duplicate", "reorder", "max_jitter_ms"});
-  MessageFaultSpec out;
-  out.loss = rate(num(obj, where, "loss", out.loss), where, "loss");
-  out.duplicate =
-      rate(num(obj, where, "duplicate", out.duplicate), where, "duplicate");
-  out.reorder =
-      rate(num(obj, where, "reorder", out.reorder), where, "reorder");
-  out.max_jitter_ms = num(obj, where, "max_jitter_ms", out.max_jitter_ms);
-  if (out.reorder > 0 && !(out.max_jitter_ms > 0)) {
+void check(const MessageFaultSpec& s, const std::string& where) {
+  if (s.reorder > 0 && !(s.max_jitter_ms > 0)) {
     fail_at(where, "key \"max_jitter_ms\" must be > 0 when reorder is set");
   }
-  return out;
 }
 
-StalenessAttackSpec parse_staleness_attack(const JsonValue& v,
-                                           const std::string& where) {
-  const auto& obj = as_object(v, where);
-  check_keys(obj, where, {"fraction", "waves", "queries"});
-  StalenessAttackSpec out;
-  out.fraction =
-      rate(num(obj, where, "fraction", out.fraction), where, "fraction");
-  out.waves = count(obj, where, "waves", out.waves);
-  out.queries = count(obj, where, "queries", out.queries);
-  return out;
+void check(const OpenLoopSpec& s, const std::string& where) {
+  if (s.process != "poisson" && s.process != "selfsimilar") {
+    fail_at(where, "key \"process\" must be \"poisson\" or \"selfsimilar\"");
+  }
+  if (s.zipf_s < 0) fail_at(where, "key \"zipf_s\" must be >= 0");
 }
 
-QueryLoadSpec parse_queries(const JsonValue& v, const std::string& where) {
-  const auto& obj = as_object(v, where);
-  check_keys(obj, where, {"count", "dimensions", "range_length"});
-  QueryLoadSpec out;
-  out.count = count(obj, where, "count", out.count);
-  out.dimensions = count(obj, where, "dimensions", out.dimensions);
-  out.range_length = num(obj, where, "range_length", out.range_length);
-  return out;
-}
-
-OpenLoopSpec parse_open_loop(const JsonValue& v, const std::string& where) {
-  const auto& obj = as_object(v, where);
-  check_keys(obj, where,
-             {"rate_qps", "process", "pareto_alpha", "count", "population",
-              "zipf_s", "dimensions", "range_length"});
-  OpenLoopSpec out;
-  out.rate_qps =
-      positive(num(obj, where, "rate_qps", out.rate_qps), where, "rate_qps");
-  out.process = text(obj, where, "process", out.process);
-  if (out.process != "poisson" && out.process != "selfsimilar") {
+void check(const PhaseSpec& s, const std::string& where) {
+  // An open-loop client that never gets its reply (the queued query
+  // died with a crashed server, the message was dropped) would stall
+  // the phase drain forever — fault blocks and the closed-loop query
+  // blocks are rejected rather than silently risking that.
+  if (s.open_loop && (s.queries || s.staleness_attack || s.churn ||
+                      s.flapping || s.partition || s.message_faults)) {
     fail_at(where,
-            "key \"process\" must be \"poisson\" or \"selfsimilar\"");
+            "key \"open_loop\" cannot combine with fault or closed-loop "
+            "query blocks (only flash_crowd and slow_links compose)");
   }
-  out.pareto_alpha = positive(
-      num(obj, where, "pareto_alpha", out.pareto_alpha), where,
-      "pareto_alpha");
-  out.count = count(obj, where, "count", out.count);
-  if (out.count == 0) fail_at(where, "key \"count\" must be >= 1");
-  out.population = count(obj, where, "population", out.population);
-  if (out.population == 0) {
-    fail_at(where, "key \"population\" must be >= 1");
-  }
-  out.zipf_s = num(obj, where, "zipf_s", out.zipf_s);
-  if (out.zipf_s < 0) fail_at(where, "key \"zipf_s\" must be >= 0");
-  out.dimensions = count(obj, where, "dimensions", out.dimensions);
-  out.range_length = num(obj, where, "range_length", out.range_length);
-  return out;
 }
 
-PhaseSpec parse_phase(const JsonValue& v, std::size_t index) {
-  std::string where = "phases[" + std::to_string(index) + "]";
-  const auto& obj = as_object(v, where);
-  PhaseSpec out;
-  out.name = text(obj, where, "name", "");
-  if (out.name.empty()) fail_at(where, "key \"name\" is required");
-  where += " ('" + out.name + "')";
-  check_keys(obj, where,
-             {"name", "duration_s", "churn", "flash_crowd", "flapping",
-              "slow_links", "partition", "message_faults", "staleness_attack",
-              "queries", "open_loop", "expect_single_root",
-              "check_soundness"});
-  out.duration_s = positive(num(obj, where, "duration_s", out.duration_s),
-                            where, "duration_s");
-  if (const auto* b = obj.count("churn") ? &obj.at("churn") : nullptr) {
-    out.churn = parse_churn(*b, where + " churn");
-  }
-  if (obj.count("flash_crowd")) {
-    out.flash_crowd =
-        parse_flash_crowd(obj.at("flash_crowd"), where + " flash_crowd");
-  }
-  if (obj.count("flapping")) {
-    out.flapping = parse_flapping(obj.at("flapping"), where + " flapping");
-  }
-  if (obj.count("slow_links")) {
-    out.slow_links =
-        parse_slow_links(obj.at("slow_links"), where + " slow_links");
-  }
-  if (obj.count("partition")) {
-    out.partition =
-        parse_partition(obj.at("partition"), where + " partition");
-  }
-  if (obj.count("message_faults")) {
-    out.message_faults = parse_message_faults(obj.at("message_faults"),
-                                              where + " message_faults");
-  }
-  if (obj.count("staleness_attack")) {
-    out.staleness_attack = parse_staleness_attack(
-        obj.at("staleness_attack"), where + " staleness_attack");
-  }
-  if (obj.count("queries")) {
-    out.queries = parse_queries(obj.at("queries"), where + " queries");
-  }
-  if (obj.count("open_loop")) {
-    out.open_loop =
-        parse_open_loop(obj.at("open_loop"), where + " open_loop");
-    // An open-loop client that never gets its reply (the queued query
-    // died with a crashed server, the message was dropped) would stall
-    // the phase drain forever — fault blocks and the closed-loop query
-    // blocks are rejected rather than silently risking that.
-    if (out.queries || out.staleness_attack || out.churn || out.flapping ||
-        out.partition || out.message_faults) {
-      fail_at(where,
-              "key \"open_loop\" cannot combine with fault or closed-loop "
-              "query blocks (only flash_crowd and slow_links compose)");
+void check(const ScenarioSpec& s, const std::string& where) {
+  if (s.nodes < 2) fail_at(where, "key \"nodes\" must be >= 2");
+  // Blocks that reference an attribute must stay inside the schema.
+  for (std::size_t i = 0; i < s.phases.size(); ++i) {
+    const auto& phase = s.phases[i];
+    if (phase.flash_crowd && phase.flash_crowd->attribute >= s.attributes) {
+      fail_at("phases[" + std::to_string(i) + "] ('" + phase.name +
+                  "') flash_crowd",
+              "key \"attribute\" is outside the schema (attributes = " +
+                  std::to_string(s.attributes) + ")");
     }
   }
-  out.expect_single_root =
-      flag(obj, where, "expect_single_root", out.expect_single_root);
-  out.check_soundness =
-      flag(obj, where, "check_soundness", out.check_soundness);
-  return out;
 }
+
+constexpr char kTopLevel[] = "top level";
+
+/// Strict parse: each field entry consumes its key, type-checked and
+/// range-checked; finish() then rejects any key no entry consumed, so a
+/// typo ("crash_fractionn") fails loudly, naming the key and its
+/// position instead of silently running a weaker scenario.
+class Reader {
+ public:
+  template <class T>
+  static T read(const JsonValue& v, std::string where) {
+    Reader r(v, std::move(where));
+    T out;
+    fields(r, out);
+    r.finish();
+    check(out, r.where_);
+    return out;
+  }
+
+  void name(std::string& v) {
+    field("name", v);
+    if (v.empty()) fail("name", "is required");
+    where_ = where_ == kTopLevel ? "scenario '" + v + "'"
+                                 : where_ + " ('" + v + "')";
+  }
+
+  template <class T>
+  void field(const char* key, T& v, Rule rule = Rule::kAny) {
+    const JsonValue* j = take(key);
+    if (j == nullptr) return;
+    if constexpr (std::is_same_v<T, bool>) {
+      if (!j->is_bool()) fail(key, "must be a boolean");
+      v = j->as_bool();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (!j->is_string()) fail(key, "must be a string");
+      v = j->as_string();
+    } else {
+      if (!j->is_number()) fail(key, "must be a number");
+      const double d = j->as_number();
+      if constexpr (std::is_integral_v<T>) {
+        // Doubles hold every integer up to 2^53 exactly; past that the
+        // cast would round (or overflow) silently.
+        if (d < 0 || d != std::floor(d)) {
+          fail(key, "must be a non-negative integer");
+        }
+        if (d > 9007199254740992.0) fail(key, "must be at most 2^53");
+        if (rule == Rule::kPositive && d < 1) fail(key, "must be >= 1");
+        v = static_cast<T>(d);
+      } else {
+        if (rule == Rule::kPositive && !(d > 0)) fail(key, "must be > 0");
+        if (rule == Rule::kUnit && (d < 0 || d > 1)) {
+          fail(key, "must be in [0, 1]");
+        }
+        if (!std::isfinite(d)) fail(key, "must be finite");
+        v = d;
+      }
+    }
+  }
+
+  template <class T>
+  void block(const char* key, std::optional<T>& v) {
+    if (const JsonValue* j = take(key)) v = read<T>(*j, where_ + " " + key);
+  }
+
+  template <class T>
+  void list(const char* key, std::vector<T>& v) {
+    const JsonValue* j = take(key);
+    if (j == nullptr || !j->is_array()) fail(key, "must be an array");
+    const auto& items = j->as_array();
+    if (items.empty()) fail(key, "must not be empty");
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      v.push_back(read<T>(items[i],
+                          std::string(key) + "[" + std::to_string(i) + "]"));
+    }
+  }
+
+ private:
+  Reader(const JsonValue& v, std::string where) : where_(std::move(where)) {
+    if (!v.is_object()) fail_at(where_, "expected an object");
+    obj_ = &v;
+  }
+
+  const JsonValue* take(const char* key) {
+    const JsonValue* j = obj_->find(key);
+    if (j != nullptr) taken_.insert(key);
+    return j;
+  }
+
+  void finish() const {
+    for (const auto& entry : obj_->as_object()) {
+      if (!taken_.count(entry.first)) {
+        fail_at(where_, "unknown key \"" + entry.first + "\"");
+      }
+    }
+  }
+
+  [[noreturn]] void fail(const char* key, const std::string& what) const {
+    fail_at(where_, std::string("key \"") + key + "\" " + what);
+  }
+
+  const JsonValue* obj_ = nullptr;
+  std::string where_;
+  std::set<std::string> taken_;
+};
 
 /// Formats a double so that parse(format(v)) == v: integers print
 /// without a fraction, everything else at max_digits10.
@@ -324,64 +327,70 @@ std::string quote(const std::string& s) {
   return out;
 }
 
-/// Tiny canonical-JSON emitter: fields in a fixed order, 2-space
-/// indent, every field explicit (defaults included) so the round-trip
-/// is byte-identical.
-class Emitter {
+/// Canonical JSON: every field explicit (defaults included) in
+/// field-list order, 2-space indent, so the round-trip is
+/// byte-identical. Only reads the spec it walks.
+class Writer {
  public:
-  explicit Emitter(std::ostringstream& os) : os_(os) {}
+  void name(std::string& v) { field("name", v); }
 
-  void open(const char* key) {
-    comma();
-    indent();
-    if (key != nullptr) os_ << quote(key) << ": ";
-    os_ << "{\n";
-    first_ = true;
-    ++depth_;
+  template <class T>
+  void field(const char* key, const T& v, Rule = Rule::kAny) {
+    open_line(key);
+    if constexpr (std::is_same_v<T, bool>) {
+      os_ << (v ? "true" : "false");
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      os_ << quote(v);
+    } else if constexpr (std::is_integral_v<T>) {
+      os_ << std::to_string(static_cast<std::uint64_t>(v));
+    } else {
+      os_ << fmt_number(v);
+    }
   }
-  void close() {
-    --depth_;
-    os_ << "\n";
-    indent();
-    os_ << "}";
-    first_ = false;
+
+  template <class T>
+  void block(const char* key, std::optional<T>& v) {
+    if (v) object(key, *v);
   }
-  void field(const char* key, double v) { scalar(key, fmt_number(v)); }
-  void field(const char* key, std::uint64_t v) {
-    scalar(key, std::to_string(v));
+
+  template <class T>
+  void list(const char* key, std::vector<T>& v) {
+    open(key, '[');
+    for (auto& item : v) object(nullptr, item);
+    close(']');
   }
-  void field(const char* key, bool v) { scalar(key, v ? "true" : "false"); }
-  void field(const char* key, const std::string& v) { scalar(key, quote(v)); }
-  void open_array(const char* key) {
-    comma();
-    indent();
-    os_ << quote(key) << ": [\n";
-    first_ = true;
-    ++depth_;
+
+  template <class T>
+  void object(const char* key, T& v) {
+    open(key, '{');
+    fields(*this, v);
+    close('}');
   }
-  void close_array() {
-    --depth_;
-    os_ << "\n";
-    indent();
-    os_ << "]";
-    first_ = false;
-  }
+
+  std::string str() const { return os_.str() + "\n"; }
 
  private:
-  void comma() {
+  void open_line(const char* key) {
     if (!first_) os_ << ",\n";
     first_ = false;
-  }
-  void indent() {
     for (int i = 0; i < depth_; ++i) os_ << "  ";
+    if (key != nullptr) os_ << quote(key) << ": ";
   }
-  void scalar(const char* key, const std::string& v) {
-    comma();
-    indent();
-    os_ << quote(key) << ": " << v;
+  void open(const char* key, char bracket) {
+    open_line(key);
+    os_ << bracket << "\n";
+    first_ = true;
+    ++depth_;
+  }
+  void close(char bracket) {
+    --depth_;
+    os_ << "\n";
+    for (int i = 0; i < depth_; ++i) os_ << "  ";
+    os_ << bracket;
+    first_ = false;
   }
 
-  std::ostringstream& os_;
+  std::ostringstream os_;
   int depth_ = 0;
   bool first_ = true;
 };
@@ -389,63 +398,7 @@ class Emitter {
 }  // namespace
 
 ScenarioSpec ScenarioSpec::from_json(const JsonValue& doc) {
-  const auto& obj = as_object(doc, "top level");
-  ScenarioSpec out;
-  out.name = text(obj, "top level", "name", "");
-  if (out.name.empty()) fail_at("top level", "key \"name\" is required");
-  const std::string where = "scenario '" + out.name + "'";
-  check_keys(obj, where,
-             {"name", "description", "nodes", "records_per_node",
-              "attributes", "max_children", "seed", "refresh_period_s",
-              "heartbeat_s", "probe_window_s", "query_cache",
-              "query_concurrency", "query_queue_limit", "phases"});
-  out.description = text(obj, where, "description", "");
-  out.nodes = count(obj, where, "nodes", out.nodes);
-  if (out.nodes < 2) fail_at(where, "key \"nodes\" must be >= 2");
-  out.records_per_node = count(obj, where, "records_per_node",
-                               out.records_per_node);
-  out.attributes = count(obj, where, "attributes", out.attributes);
-  if (out.attributes == 0) fail_at(where, "key \"attributes\" must be >= 1");
-  out.max_children = count(obj, where, "max_children", out.max_children);
-  if (out.max_children == 0) {
-    fail_at(where, "key \"max_children\" must be >= 1");
-  }
-  out.seed = count(obj, where, "seed", static_cast<std::size_t>(out.seed));
-  out.refresh_period_s = positive(
-      num(obj, where, "refresh_period_s", out.refresh_period_s), where,
-      "refresh_period_s");
-  out.heartbeat_s = positive(num(obj, where, "heartbeat_s", out.heartbeat_s),
-                             where, "heartbeat_s");
-  out.probe_window_s = positive(
-      num(obj, where, "probe_window_s", out.probe_window_s), where,
-      "probe_window_s");
-  out.query_cache = flag(obj, where, "query_cache", out.query_cache);
-  out.query_concurrency =
-      count(obj, where, "query_concurrency", out.query_concurrency);
-  out.query_queue_limit =
-      count(obj, where, "query_queue_limit", out.query_queue_limit);
-
-  const auto phases_it = obj.find("phases");
-  if (phases_it == obj.end() || !phases_it->second.is_array()) {
-    fail_at(where, "key \"phases\" must be an array");
-  }
-  const auto& phases = phases_it->second.as_array();
-  if (phases.empty()) fail_at(where, "key \"phases\" must not be empty");
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    out.phases.push_back(parse_phase(phases[i], i));
-  }
-
-  // Blocks that reference an attribute must stay inside the schema.
-  for (std::size_t i = 0; i < out.phases.size(); ++i) {
-    const auto& phase = out.phases[i];
-    if (phase.flash_crowd && phase.flash_crowd->attribute >= out.attributes) {
-      fail_at("phases[" + std::to_string(i) + "] ('" + phase.name +
-                  "') flash_crowd",
-              "key \"attribute\" is outside the schema (attributes = " +
-                  std::to_string(out.attributes) + ")");
-    }
-  }
-  return out;
+  return Reader::read<ScenarioSpec>(doc, kTopLevel);
 }
 
 ScenarioSpec ScenarioSpec::from_json_text(const std::string& json_text) {
@@ -457,110 +410,11 @@ ScenarioSpec ScenarioSpec::from_file(const std::string& path) {
 }
 
 std::string ScenarioSpec::to_json() const {
-  std::ostringstream os;
-  Emitter e(os);
-  e.open(nullptr);
-  e.field("name", name);
-  e.field("description", description);
-  e.field("nodes", nodes);
-  e.field("records_per_node", records_per_node);
-  e.field("attributes", attributes);
-  e.field("max_children", max_children);
-  e.field("seed", seed);
-  e.field("refresh_period_s", refresh_period_s);
-  e.field("heartbeat_s", heartbeat_s);
-  e.field("probe_window_s", probe_window_s);
-  e.field("query_cache", query_cache);
-  e.field("query_concurrency", static_cast<std::uint64_t>(query_concurrency));
-  e.field("query_queue_limit",
-          static_cast<std::uint64_t>(query_queue_limit));
-  e.open_array("phases");
-  for (const auto& phase : phases) {
-    e.open(nullptr);
-    e.field("name", phase.name);
-    e.field("duration_s", phase.duration_s);
-    if (phase.churn) {
-      e.open("churn");
-      e.field("fraction", phase.churn->fraction);
-      e.field("start_s", phase.churn->start_s);
-      e.field("spread_s", phase.churn->spread_s);
-      e.field("down_s", phase.churn->down_s);
-      e.field("rejoin", phase.churn->rejoin);
-      e.close();
-    }
-    if (phase.flash_crowd) {
-      e.open("flash_crowd");
-      e.field("attribute", phase.flash_crowd->attribute);
-      e.field("center", phase.flash_crowd->center);
-      e.field("width", phase.flash_crowd->width);
-      e.field("weight", phase.flash_crowd->weight);
-      e.field("queries", phase.flash_crowd->queries);
-      e.field("dimensions", phase.flash_crowd->dimensions);
-      e.field("range_length", phase.flash_crowd->range_length);
-      e.close();
-    }
-    if (phase.flapping) {
-      e.open("flapping");
-      e.field("flaps", phase.flapping->flaps);
-      e.field("period_s", phase.flapping->period_s);
-      e.field("down_s", phase.flapping->down_s);
-      e.close();
-    }
-    if (phase.slow_links) {
-      e.open("slow_links");
-      e.field("links", phase.slow_links->links);
-      e.field("extra_ms", phase.slow_links->extra_ms);
-      e.field("asymmetric", phase.slow_links->asymmetric);
-      e.close();
-    }
-    if (phase.partition) {
-      e.open("partition");
-      e.field("start_s", phase.partition->start_s);
-      e.field("heal_after_s", phase.partition->heal_after_s);
-      e.close();
-    }
-    if (phase.message_faults) {
-      e.open("message_faults");
-      e.field("loss", phase.message_faults->loss);
-      e.field("duplicate", phase.message_faults->duplicate);
-      e.field("reorder", phase.message_faults->reorder);
-      e.field("max_jitter_ms", phase.message_faults->max_jitter_ms);
-      e.close();
-    }
-    if (phase.staleness_attack) {
-      e.open("staleness_attack");
-      e.field("fraction", phase.staleness_attack->fraction);
-      e.field("waves", phase.staleness_attack->waves);
-      e.field("queries", phase.staleness_attack->queries);
-      e.close();
-    }
-    if (phase.queries) {
-      e.open("queries");
-      e.field("count", phase.queries->count);
-      e.field("dimensions", phase.queries->dimensions);
-      e.field("range_length", phase.queries->range_length);
-      e.close();
-    }
-    if (phase.open_loop) {
-      e.open("open_loop");
-      e.field("rate_qps", phase.open_loop->rate_qps);
-      e.field("process", phase.open_loop->process);
-      e.field("pareto_alpha", phase.open_loop->pareto_alpha);
-      e.field("count", phase.open_loop->count);
-      e.field("population", phase.open_loop->population);
-      e.field("zipf_s", phase.open_loop->zipf_s);
-      e.field("dimensions", phase.open_loop->dimensions);
-      e.field("range_length", phase.open_loop->range_length);
-      e.close();
-    }
-    e.field("expect_single_root", phase.expect_single_root);
-    e.field("check_soundness", phase.check_soundness);
-    e.close();
-  }
-  e.close_array();
-  e.close();
-  os << "\n";
-  return os.str();
+  Writer w;
+  // fields() takes a mutable block so one list serves both walkers;
+  // the Writer never writes through it.
+  w.object(nullptr, const_cast<ScenarioSpec&>(*this));
+  return w.str();
 }
 
 }  // namespace roads::scenario

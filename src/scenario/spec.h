@@ -10,12 +10,18 @@
 // from its seed under both the sequential and the sharded engine (the
 // scenario_test golden gate).
 //
-// Parsing is strict: unknown keys and type mismatches are rejected
-// with an error naming the offending key and its position (the phase
-// index and block), so a typo in a scenario file fails loudly instead
-// of silently running a weaker stress. to_json() emits a canonical
-// serialization (every field explicit, fixed order) whose round-trip
-// is byte-identical — the property the spec tests pin.
+// Parsing is strict: unknown keys, type mismatches and out-of-range
+// values are rejected with an error naming the offending key and its
+// position (the phase index and block), so a typo in a scenario file
+// fails loudly instead of silently running a weaker stress. to_json()
+// emits a canonical serialization (every field explicit, fixed order)
+// whose round-trip is byte-identical — the property the spec tests
+// pin.
+//
+// Adding a key: give the struct below a member with its default, then
+// add one line to the block's field list in spec.cpp (key, member,
+// range rule); that list drives the parse, the unknown-key check and
+// to_json(). A rule spanning several keys goes in the block's check().
 #pragma once
 
 #include <cstdint>

@@ -203,8 +203,6 @@ class ShardedSimulator {
   /// otherwise (coordinator code between events).
   Simulator& current_engine();
 
-  Simulator& engine_for_node(NodeId node) { return *shards_[shard_of(node)]; }
-
   /// True while the calling thread executes inside a parallel window —
   /// global-resource consumption must go through the window log.
   bool in_window() const;
@@ -227,9 +225,10 @@ class ShardedSimulator {
     ShardWindowLog* log = nullptr;  // non-null only inside a window
   };
 
-  /// Saves tls and installs {this, engine_for_node(node)}: coordinator
-  /// code (start_timers, fault transitions) runs "as" the node so its
-  /// schedules land on the owning shard. Restore via restore_context.
+  /// Saves tls and installs {this, the shard engine owning `node`}:
+  /// coordinator code (start_timers, fault transitions) runs "as" the
+  /// node so its schedules land on the owning shard. Restore via
+  /// restore_context.
   ExecContext push_node_context(NodeId node);
   void restore_context(const ExecContext& prev);
 

@@ -73,7 +73,6 @@ class SwordSystem {
   /// Assigns owner `node`'s record set (replacing any previous one).
   void set_records(sim::NodeId node,
                    std::vector<record::ResourceRecord> records);
-  std::size_t total_records() const { return arena_.size(); }
 
   /// One soft-state refresh round: every owner re-registers every
   /// record in every ring. Runs the simulation to quiescence and

@@ -73,11 +73,18 @@ class Parser {
   }
 
   JsonValue parse_value() {
-    switch (peek()) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      // The bound keeps hostile input from overflowing the stack; our
+      // own documents nest at most 5 deep.
+      if (++depth_ > kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      auto v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
+    switch (c) {
       case '"':
         return JsonValue(parse_string());
       case 't':
@@ -103,9 +110,14 @@ class Parser {
     }
     while (true) {
       if (peek() != '"') fail("expected object key");
+      const std::size_t key_pos = pos_;
       auto key = parse_string();
+      if (out.count(key)) {
+        pos_ = key_pos;
+        fail("duplicate key \"" + key + "\"");
+      }
       expect(':');
-      out[std::move(key)] = parse_value();
+      out.emplace(std::move(key), parse_value());
       const char c = peek();
       ++pos_;
       if (c == '}') return JsonValue(std::move(out));
@@ -203,8 +215,11 @@ class Parser {
     return JsonValue(v);
   }
 
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -2,9 +2,10 @@
 // (BENCH_*.json reports, Chrome trace dumps, scenario specs).
 // Recursive-descent, whole document in memory, throws
 // std::runtime_error naming the line, column and byte offset on
-// malformed input. Deliberately small: no streaming, no writer (the
-// exporters format by hand), and numbers are always doubles — exactly
-// what the bench reporter emits.
+// malformed input, duplicate object keys, or nesting deeper than 256
+// levels (the bound keeps hostile input off the stack). Deliberately
+// small: no streaming, no writer (the exporters format by hand), and
+// numbers are always doubles — exactly what the bench reporter emits.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +66,8 @@ class JsonValue {
 
 /// Parses a complete JSON document (one top-level value, trailing
 /// whitespace allowed). Throws std::runtime_error naming the line,
-/// column and byte offset of the first error.
+/// column and byte offset of the first error; a repeated object key
+/// is an error, not last-wins.
 JsonValue parse_json(const std::string& text);
 
 /// Reads and parses a JSON file; throws std::runtime_error when the

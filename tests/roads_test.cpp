@@ -531,6 +531,31 @@ TEST(QueryAdmission, QueuedQueriesDrainInArrivalOrder) {
   EXPECT_EQ(fed.metrics().counter("roads.query.cache.shed").value(), 0u);
 }
 
+// A queued query starts after its arrival's delivery scope has closed;
+// its `proc` span must still join the query's own causal tree.
+TEST(QueryAdmission, QueuedQueriesKeepTheirCausalTree) {
+  std::unique_ptr<Federation> holder;
+  auto& fed = build_admission_fed(holder, /*concurrency=*/1, /*queue=*/8);
+  ASSERT_NE(fed.trace(), nullptr);
+  fed.trace()->clear();
+  const auto q = query_attr0(0.5 / 3.0 - 0.02, 0.5 / 3.0 + 0.02);
+  std::vector<std::shared_ptr<core::RoadsClient>> clients;
+  for (int i = 0; i < 4; ++i) clients.push_back(fed.issue_query(q, 0));
+  drain(fed, clients);
+
+  std::map<std::uint64_t, std::size_t> proc_spans_by_trace;
+  for (const auto& ev : fed.trace()->events_of(obs::TraceKind::kSpanBegin)) {
+    if (ev.label != "proc") continue;
+    EXPECT_NE(ev.parent, 0u) << "proc span " << ev.span << " has no parent";
+    ++proc_spans_by_trace[ev.trace];
+  }
+  for (const auto& c : clients) {
+    ASSERT_NE(c->span(), 0u);
+    EXPECT_GE(proc_spans_by_trace[c->span()], 1u)
+        << "query " << c->span() << " lost its proc span";
+  }
+}
+
 // --- Pure evaluation: RoadsServer::evaluate ---
 
 /// Every counter value in the registry, by name.

@@ -12,12 +12,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "scenario/runner.h"
 #include "scenario/spec.h"
+#include "util/rng.h"
 
 #include "seed_sweep.h"
 
@@ -126,6 +129,106 @@ TEST(ScenarioSpec, DefaultsSurviveRoundTrip) {
   EXPECT_EQ(text, reparsed.to_json());
   EXPECT_EQ(reparsed.phases[0].duration_s, 30.0);
   EXPECT_FALSE(reparsed.phases[0].churn.has_value());
+}
+
+// Numbers a double holds but a spec field cannot: integers past 2^53
+// (where the size_t cast would round or overflow) and infinities.
+TEST(ScenarioSpec, OutOfRangeNumbersAreRejected) {
+  const auto top = [](const std::string& extra) {
+    return R"({"name": "x", )" + extra +
+           R"(, "phases": [{"name": "p", "duration_s": 10}]})";
+  };
+  EXPECT_NE(parse_failure(top(R"("records_per_node": 1e30)"))
+                .find("\"records_per_node\" must be at most 2^53"),
+            std::string::npos);
+  EXPECT_NE(parse_failure(top(R"("seed": 1e20)"))
+                .find("\"seed\" must be at most 2^53"),
+            std::string::npos);
+  EXPECT_NE(parse_failure(top(R"("nodes": 2.5)"))
+                .find("\"nodes\" must be a non-negative integer"),
+            std::string::npos);
+  EXPECT_NE(parse_failure(R"({"name": "x", "phases": [
+                {"name": "p", "duration_s": 1e999}]})")
+                .find("\"duration_s\" must be finite"),
+            std::string::npos);
+  EXPECT_NE(parse_failure(R"({"name": "x", "phases": [
+                {"name": "p", "churn": {"start_s": -1e999}}]})")
+                .find("\"start_s\" must be finite"),
+            std::string::npos);
+  // 2^53 itself is the largest integer accepted, and it round-trips.
+  const auto spec =
+      ScenarioSpec::from_json_text(top(R"("seed": 9007199254740992)"));
+  EXPECT_EQ(spec.seed, 9007199254740992ull);
+  EXPECT_EQ(ScenarioSpec::from_json_text(spec.to_json()).seed, spec.seed);
+}
+
+// Seed-corpus harness over the only external-input parsers (util::json
+// and the spec reader): seeded mutations of every shipped scenario —
+// byte flips, deletions, duplicated spans, inserts from a JSON
+// alphabet — plus known-hostile inputs. Every input must either parse
+// and round-trip byte-identically or throw std::runtime_error; a crash
+// or sanitizer report (the ASan/UBSan CI leg) fails the suite.
+// SCENARIO_SEEDS widens the sweep; SCENARIO_SEED=<n> replays one block.
+TEST(ScenarioSpec, MutatedSpecsRoundTripOrThrow) {
+  std::vector<std::string> corpus = {
+      std::string(200000, '['),
+      R"({"name": "x", "nodes": 4, "nodes": 9, "phases": [{"name": "p"}]})",
+      R"({"name": "x", "records_per_node": 1e30, "phases": [{"name": "p"}]})",
+      R"({"name": "x", "seed": 1e20, "phases": [{"name": "p"}]})",
+      R"({"name": "x", "phases": [{"name": "p", "duration_s": 1e999}]})",
+  };
+  const std::size_t hostile = corpus.size();
+  for (const auto& path : shipped_scenarios()) {
+    std::ifstream in(path, std::ios::binary);
+    corpus.emplace_back(std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>());
+  }
+  static constexpr char kAlphabet[] = "{}[]:,\"0123456789.-+eE \ntrufalsn\\";
+  const auto check_input = [](const std::string& input) {
+    std::string first;
+    try {
+      first = ScenarioSpec::from_json_text(input).to_json();
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+    EXPECT_EQ(first, ScenarioSpec::from_json_text(first).to_json())
+        << "accepted input does not round-trip:\n" << input;
+    return true;
+  };
+  for (std::size_t i = 0; i < hostile; ++i) {
+    EXPECT_FALSE(check_input(corpus[i])) << "hostile input " << i;
+  }
+  std::size_t accepted = 0;
+  std::size_t inputs = 0;
+  for (const auto seed : testing::sweep_seeds("SCENARIO", 1, 0)) {
+    util::Rng rng(seed);
+    SCOPED_TRACE("replay: SCENARIO_SEED=" + std::to_string(seed));
+    for (std::size_t base = hostile; base < corpus.size(); ++base) {
+      for (int round = 0; round < 250; ++round) {
+        std::string text = corpus[base];
+        const int edits = 1 + static_cast<int>(rng() % 3);
+        for (int e = 0; e < edits && !text.empty(); ++e) {
+          const std::size_t pos = rng() % text.size();
+          switch (rng() % 4) {
+            case 0: text[pos] = static_cast<char>(rng() % 256); break;
+            case 1: text.erase(pos, 1 + rng() % 8); break;
+            case 2:
+              text.insert(rng() % text.size(),
+                          text.substr(pos, 1 + rng() % 40));
+              break;
+            default:
+              text.insert(pos, 1, kAlphabet[rng() % (sizeof kAlphabet - 1)]);
+          }
+        }
+        accepted += check_input(text);
+        ++inputs;
+      }
+    }
+  }
+  // Both verdicts must occur, or the mutations are too weak (or too
+  // destructive) to exercise the parser.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, inputs);
 }
 
 // --- Running shipped scenarios ---

@@ -560,6 +560,35 @@ TEST(Json, TrailingGarbageNamesItsPosition) {
   EXPECT_NE(msg.find("column 1"), std::string::npos) << msg;
 }
 
+// Hostile nesting must fail with a position, not overflow the stack.
+TEST(Json, DeepNestingIsBoundedAndNamesItsPosition) {
+  const auto msg = parse_failure_message(std::string(200000, '['));
+  ASSERT_FALSE(msg.empty());
+  EXPECT_NE(msg.find("nesting deeper than 256"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("column 257"), std::string::npos) << msg;
+  // The bound itself still parses, arrays and objects alike.
+  EXPECT_NO_THROW(
+      parse_json(std::string(256, '[') + std::string(256, ']')));
+  std::string objects;
+  for (int i = 0; i < 256; ++i) objects += "{\"k\": ";
+  objects += "1" + std::string(256, '}');
+  EXPECT_NO_THROW(parse_json(objects));
+}
+
+// A repeated key is an error naming the key, not a silent last-wins.
+TEST(Json, DuplicateObjectKeysAreRejectedByName) {
+  const auto msg = parse_failure_message(R"({"nodes": 4, "nodes": 9})");
+  ASSERT_FALSE(msg.empty()) << "duplicate key parsed successfully";
+  EXPECT_NE(msg.find("duplicate key \"nodes\""), std::string::npos) << msg;
+  EXPECT_NE(msg.find("column 14"), std::string::npos) << msg;
+  EXPECT_FALSE(
+      parse_failure_message(R"({"a": {"b": 1, "b": 2}})").empty());
+  // The same key in sibling objects is fine.
+  const auto doc = parse_json(R"({"a": {"k": 1}, "b": {"k": 2}})");
+  EXPECT_EQ(doc.at("b").at("k").as_number(), 2.0);
+}
+
 TEST(UniqueFunction, PassesArgumentsAndReturnsValues) {
   UniqueFunction<int(int, int)> add([](int a, int b) { return a + b; });
   EXPECT_EQ(add(2, 3), 5);

@@ -56,26 +56,6 @@ std::string json_number(double v) {
   return buf;
 }
 
-void write_trace_jsonl(const TraceBuffer& trace, std::ostream& os) {
-  for (const auto& ev : trace.events()) {
-    os << "{\"t_us\":" << ev.at_us << ",\"kind\":\"" << to_string(ev.kind)
-       << "\",\"node\":" << ev.node;
-    if (ev.span != 0) os << ",\"span\":" << ev.span;
-    if (ev.peer != ev.node || ev.kind == TraceKind::kSend ||
-        ev.kind == TraceKind::kDeliver) {
-      os << ",\"peer\":" << ev.peer;
-    }
-    if (ev.bytes != 0) os << ",\"bytes\":" << ev.bytes;
-    if (ev.value != 0.0) os << ",\"value\":" << json_number(ev.value);
-    if (!ev.label.empty()) {
-      os << ",\"label\":\"" << json_escape(ev.label) << "\"";
-    }
-    if (ev.trace != 0) os << ",\"trace\":" << ev.trace;
-    if (ev.parent != 0) os << ",\"parent\":" << ev.parent;
-    os << "}\n";
-  }
-}
-
 namespace {
 
 /// One rendered trace event, sortable by (ts, stable sequence).

@@ -1,10 +1,9 @@
-// Machine-readable exporters for the obs layer: JSON-lines trace
-// dumps (one event object per line, greppable and stream-parseable),
-// Chrome trace-event JSON (load the file in Perfetto / chrome://tracing
-// to see one track per node with nested causal spans), Prometheus text
-// exposition for the metrics registry, flight-recorder dumps for
-// chaos/invariant failures, and the small JSON formatting helpers the
-// bench reporter reuses.
+// Machine-readable exporters for the obs layer: Chrome trace-event
+// JSON (load the file in Perfetto / chrome://tracing to see one track
+// per node with nested causal spans), Prometheus text exposition for
+// the metrics registry, flight-recorder dumps for chaos/invariant
+// failures, and the small JSON formatting helpers the bench reporter
+// reuses.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +22,6 @@ std::string json_escape(const std::string& s);
 /// Formats a double as a JSON number: integers lose the trailing ".0",
 /// non-finite values become null (JSON has no inf/nan).
 std::string json_number(double v);
-
-/// One event per line:
-///   {"t_us":1234,"kind":"query_hop","node":3,...}
-/// Fields that carry no information for the kind (span 0, zero bytes)
-/// are omitted to keep lines short.
-void write_trace_jsonl(const TraceBuffer& trace, std::ostream& os);
 
 /// Chrome trace-event JSON ({"traceEvents":[...]}), loadable in
 /// Perfetto or chrome://tracing. One track per node (pid 1, tid =

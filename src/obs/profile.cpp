@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "obs/export.h"
-#include "obs/span_tree.h"
 
 namespace roads::obs {
 
@@ -94,20 +93,20 @@ ProfSink& Profiler::sink(std::size_t engine_index) {
   return *sinks_[engine_index];
 }
 
-void Profiler::note_shard_window(std::size_t shard, std::uint64_t busy_ticks,
-                                 std::uint64_t wait_ticks) {
-  if (shard_ticks_.size() <= shard) shard_ticks_.resize(shard + 1);
-  auto& u = shard_ticks_[shard];
+void Profiler::note_shard_window(std::size_t shard, double busy_us,
+                                 double wait_us) {
+  if (shards_.size() <= shard) shards_.resize(shard + 1);
+  auto& u = shards_[shard];
   u.shard = shard;
-  u.busy_us += static_cast<double>(busy_ticks);
-  u.barrier_wait_us += static_cast<double>(wait_ticks);
+  u.busy_us += busy_us;
+  u.barrier_wait_us += wait_us;
   ++u.windows;
 }
 
-void Profiler::note_shard_idle(std::size_t shard, std::uint64_t idle_ticks) {
-  if (shard_ticks_.size() <= shard) shard_ticks_.resize(shard + 1);
-  shard_ticks_[shard].shard = shard;
-  shard_ticks_[shard].idle_us += static_cast<double>(idle_ticks);
+void Profiler::note_shard_idle(std::size_t shard, double idle_us) {
+  if (shards_.size() <= shard) shards_.resize(shard + 1);
+  shards_[shard].shard = shard;
+  shards_[shard].idle_us += idle_us;
 }
 
 Profile Profiler::build_profile() const {
@@ -144,13 +143,7 @@ Profile Profiler::build_profile() const {
   }
   out.work_us = static_cast<double>(work_ticks) / rate;
   out.windows = windows_;
-  for (const auto& u : shard_ticks_) {
-    ShardUtilization s = u;
-    s.busy_us /= rate;
-    s.barrier_wait_us /= rate;
-    s.idle_us /= rate;
-    out.shards.push_back(s);
-  }
+  out.shards = shards_;
   out.flush_count = flush_hist_.count();
   out.flush_mean_us = out.flush_count > 0 ? flush_hist_.mean() : 0.0;
   return out;
@@ -164,7 +157,7 @@ Profile Profiler::take_profile() {
     ScopedTimer timer(flush_hist_, ScopedTimer::thread_cpu_clock());
     out = build_profile();
     for (auto& sink : sinks_) sink->clear();
-    shard_ticks_.clear();
+    shards_.clear();
     windows_ = 0;
   }
   // The timer records on scope exit, so re-read the histogram here:
@@ -185,7 +178,7 @@ void write_collapsed(const Profile& profile, std::ostream& os) {
 
 namespace {
 
-/// Shared speedscope scaffolding: frames + one sampled profile whose
+/// Speedscope scaffolding: frames + one sampled profile whose
 /// samples are frame-index stacks weighted in microseconds.
 struct SpeedscopeBuilder {
   std::vector<std::string> frames;
@@ -242,72 +235,14 @@ struct SpeedscopeBuilder {
   }
 };
 
-void build_category_stacks(const Profile& profile, SpeedscopeBuilder& b) {
-  for (const auto& entry : profile.categories) {
-    b.add({"roads", entry.subsystem, entry.name}, entry.self_us);
-  }
-}
-
-std::string span_frame(const Span& span) {
-  std::string name = span.label.empty() ? to_string(span.category)
-                                        : span.label;
-  if (span.category == SpanCategory::kNetwork) name = "transit:" + name;
-  return name;
-}
-
-/// Span self-time: duration minus the children's durations, clamped at
-/// zero (overlapping children can oversubscribe the parent).
-double span_self_us(const SpanTree& tree, const Span& span) {
-  std::int64_t self = span.duration_us();
-  for (const Span* child : tree.children(span.id)) {
-    self -= child->duration_us();
-  }
-  return self > 0 ? static_cast<double>(self) : 0.0;
-}
-
-void build_span_stacks(const SpanTree& tree, SpeedscopeBuilder& b) {
-  for (const auto& [id, span] : tree.spans()) {
-    if (!span.closed()) continue;
-    const double self = span_self_us(tree, span);
-    if (self <= 0.0) continue;
-    // Ancestor chain root-first; a broken parent link (evicted
-    // history) just starts the stack at the deepest known span.
-    std::vector<std::string> stack;
-    const Span* cursor = &span;
-    for (std::size_t depth = 0; cursor != nullptr && depth < 64; ++depth) {
-      stack.push_back(span_frame(*cursor));
-      cursor = cursor->parent != 0 ? tree.find(cursor->parent) : nullptr;
-    }
-    std::reverse(stack.begin(), stack.end());
-    b.add(stack, self);
-  }
-}
-
 }  // namespace
 
 void write_speedscope(const Profile& profile, std::ostream& os,
                       const std::string& name) {
   SpeedscopeBuilder b;
-  build_category_stacks(profile, b);
-  b.write(os, name);
-}
-
-void write_collapsed(const SpanTree& tree, std::ostream& os) {
-  SpeedscopeBuilder b;
-  build_span_stacks(tree, b);
-  for (std::size_t i = 0; i < b.samples.size(); ++i) {
-    for (std::size_t j = 0; j < b.samples[i].size(); ++j) {
-      if (j > 0) os << ";";
-      os << b.frames[b.samples[i][j]];
-    }
-    os << " " << static_cast<std::uint64_t>(b.weights[i] + 0.5) << "\n";
+  for (const auto& entry : profile.categories) {
+    b.add({"roads", entry.subsystem, entry.name}, entry.self_us);
   }
-}
-
-void write_speedscope(const SpanTree& tree, std::ostream& os,
-                      const std::string& name) {
-  SpeedscopeBuilder b;
-  build_span_stacks(tree, b);
   b.write(os, name);
 }
 

@@ -1,12 +1,12 @@
 // Continuous handler-level CPU profiling for the event engines.
 //
-// Span tracing (obs/trace.h) cannot run under sim::ShardedSimulator —
-// delivery contexts are single-threaded state — so the parallel engine
-// needed its own cost-attribution story. This module attributes
-// *self-time* to handler categories (message kind × subsystem:
-// summary-push, query-forward, heartbeat, replica-cascade, join,
-// timer-maintenance, …). The category is decided at schedule/send time
-// from a thread-local tag (ScopedProfCategory at the send or timer
+// Span tracing (obs/trace.h) is sequential-only — span ids and trace
+// order would not be deterministic across shard threads — so the
+// parallel engine needed its own cost-attribution story. This module
+// attributes *self-time* to handler categories (message kind ×
+// subsystem: summary-push, query-forward, heartbeat, replica-cascade,
+// join, timer-maintenance, …). The category is decided at schedule/send
+// time from a thread-local tag (ScopedProfCategory at the send or timer
 // site; untagged schedules inherit the category of the handler that
 // issued them), travels on the event slot — one byte of existing
 // padding — and rides cross-shard window-log records through the
@@ -45,8 +45,6 @@
 #include "obs/metrics.h"
 
 namespace roads::obs {
-
-class SpanTree;
 
 /// Handler taxonomy. kOther (0) doubles as "untagged": a schedule with
 /// no explicit tag and no executing handler to inherit from lands
@@ -256,10 +254,10 @@ class Profiler {
   /// engine, 1..N = shards). Addresses are stable.
   ProfSink& sink(std::size_t engine_index);
 
-  /// Coordinator-side utilization, in raw ticks (see prof_ticks).
-  void note_shard_window(std::size_t shard, std::uint64_t busy_ticks,
-                         std::uint64_t wait_ticks);
-  void note_shard_idle(std::size_t shard, std::uint64_t idle_ticks);
+  /// Coordinator-side utilization, in steady-clock microseconds: the
+  /// same per-window measurement behind the sim.shard.<i>.* counters.
+  void note_shard_window(std::size_t shard, double busy_us, double wait_us);
+  void note_shard_idle(std::size_t shard, double idle_us);
   void note_window() { ++windows_; }
 
   /// Aggregated snapshot; take_profile() also resets every sink and
@@ -272,7 +270,7 @@ class Profiler {
   Profile build_profile() const;
 
   std::vector<std::unique_ptr<ProfSink>> sinks_;
-  std::vector<ShardUtilization> shard_ticks_;  // *_us fields hold ticks
+  std::vector<ShardUtilization> shards_;
   std::uint64_t windows_ = 0;
   Histogram flush_hist_;
 };
@@ -287,13 +285,6 @@ void write_collapsed(const Profile& profile, std::ostream& os);
 /// profile whose samples are the category stacks, weighted in
 /// microseconds.
 void write_speedscope(const Profile& profile, std::ostream& os,
-                      const std::string& name);
-
-/// Flame-graph export of a causal SpanTree (single-thread runs, PR 4):
-/// each span weighted by its self-time (duration minus child spans,
-/// clamped at zero), stacked along its ancestor chain.
-void write_collapsed(const SpanTree& tree, std::ostream& os);
-void write_speedscope(const SpanTree& tree, std::ostream& os,
                       const std::string& name);
 
 /// PROFILE_<name>.json: clock calibration, category table, coverage

@@ -6,6 +6,10 @@
 
 namespace roads::obs {
 
+namespace detail {
+thread_local constinit TraceContext t_trace;
+}  // namespace detail
+
 const char* to_string(TraceKind kind) {
   switch (kind) {
     case TraceKind::kSend:
@@ -65,18 +69,6 @@ std::uint64_t TraceBuffer::dropped(TraceKind kind) const {
   return dropped_kind_[static_cast<std::size_t>(kind)];
 }
 
-std::vector<std::pair<TraceKind, std::uint64_t>> TraceBuffer::dropped_by_kind()
-    const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<TraceKind, std::uint64_t>> out;
-  for (std::size_t k = 0; k < kTraceKindCount; ++k) {
-    if (dropped_kind_[k] != 0) {
-      out.emplace_back(static_cast<TraceKind>(k), dropped_kind_[k]);
-    }
-  }
-  return out;
-}
-
 void TraceBuffer::bind_metrics(MetricsRegistry& registry) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (std::size_t k = 0; k < kTraceKindCount; ++k) {
@@ -126,6 +118,15 @@ std::vector<TraceEvent> TraceBuffer::events_of(TraceKind kind) const {
   std::vector<TraceEvent> out;
   for (const auto& ev : ring_) {
     if (ev.kind == kind) out.push_back(ev);
+  }
+  return out;
+}
+
+std::vector<TraceEvent> TraceBuffer::trace_events(std::uint64_t trace) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<TraceEvent> out;
+  for (const auto& ev : ring_) {
+    if (ev.trace == trace) out.push_back(ev);
   }
   return out;
 }

@@ -8,12 +8,15 @@
 //
 // Causal tracing: every event carries (trace, span, parent) so the
 // flat stream reconstructs into parent-child span trees (obs::SpanTree).
-// A TraceContext names the span currently executing; the network
-// piggybacks it on every message (the message transit becomes a child
-// span of whatever handler sent it) and protocol handlers open explicit
-// processing/service spans under it. `trace` is the id of the tree's
-// root span, so one query / refresh wave / heartbeat wave can be pulled
-// out of the mixed stream with a single filter.
+// A TraceContext names the span currently executing. It lives in a
+// thread-local (current_trace()) that the event engine captures when
+// an event is scheduled and reinstalls around its dispatch, so a timer
+// or a message delivery runs in the context of the code that scheduled
+// it. The network schedules each delivery under its message's transit
+// span, and protocol handlers open explicit processing/service spans
+// under the current context. `trace` is the id of the tree's root span,
+// so one query / refresh wave / heartbeat wave can be pulled out of the
+// mixed stream with a single filter.
 #pragma once
 
 #include <atomic>
@@ -21,7 +24,6 @@
 #include <deque>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace roads::obs {
@@ -58,21 +60,45 @@ constexpr std::size_t kTraceKindCount = 16;
 const char* to_string(TraceKind kind);
 
 /// The causal position a piece of work executes in: which tree it
-/// belongs to (`trace` = root span id), which span is currently open
-/// (`span` — new child spans and messages parent under it) and how many
-/// propagation steps separate it from the root (`depth`). A
+/// belongs to (`trace` = root span id) and which span is currently open
+/// (`span` — new child spans and messages parent under it). A
 /// default-constructed context is inactive: work started under it roots
 /// a fresh tree instead of extending one.
 struct TraceContext {
   std::uint64_t trace = 0;
   std::uint64_t span = 0;
-  std::uint32_t depth = 0;
 
-  bool active() const { return trace != 0; }
   /// The context a child span `span_id` executes under.
   TraceContext child(std::uint64_t span_id) const {
-    return {trace != 0 ? trace : span_id, span_id, depth + 1};
+    return {trace != 0 ? trace : span_id, span_id};
   }
+};
+
+namespace detail {
+extern thread_local constinit TraceContext t_trace;
+}  // namespace detail
+
+/// The causal context of the code executing on this thread: the
+/// context an event was scheduled under while it runs, inactive outside
+/// any traced event or span.
+inline const TraceContext& current_trace() { return detail::t_trace; }
+
+/// RAII: installs `ctx` as the current context and restores the
+/// previous one on scope exit. Schedules and sends made in scope run
+/// (and parent) under `ctx`.
+class ScopedTraceContext {
+ public:
+  explicit ScopedTraceContext(const TraceContext& ctx)
+      : prev_(detail::t_trace) {
+    detail::t_trace = ctx;
+  }
+  ~ScopedTraceContext() { detail::t_trace = prev_; }
+
+  ScopedTraceContext(const ScopedTraceContext&) = delete;
+  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
+
+ private:
+  TraceContext prev_;
 };
 
 struct TraceEvent {
@@ -98,8 +124,6 @@ class TraceBuffer {
   std::uint64_t dropped() const;
   /// Events of one kind evicted so far.
   std::uint64_t dropped(TraceKind kind) const;
-  /// Per-kind eviction counts, only kinds with drops, kind-ordered.
-  std::vector<std::pair<TraceKind, std::uint64_t>> dropped_by_kind() const;
 
   /// Mirrors eviction counts into `registry` as
   /// "obs.trace.dropped.<kind>" counters, so long chaos runs can tell
@@ -119,6 +143,9 @@ class TraceBuffer {
   std::vector<TraceEvent> span_events(std::uint64_t span) const;
   /// Oldest-first snapshot restricted to one kind.
   std::vector<TraceEvent> events_of(TraceKind kind) const;
+  /// Oldest-first snapshot restricted to one causal tree (events whose
+  /// `trace` is the given root span id).
+  std::vector<TraceEvent> trace_events(std::uint64_t trace) const;
 
   void clear();
 

@@ -21,13 +21,9 @@ class Federation::OwnerAgent : public QueryTarget {
     const auto node = owner_->node();
     client->on_arrival(node);
     auto& network = federation_.network_;
-    // Same span discipline as RoadsServer::handle_query: processing
-    // opens at arrival and the deferred closures re-enter the context.
-    const auto proc = network.begin_span(node, "proc");
-    network.simulator().schedule_after(
-        federation_.config_.query_processing_delay, [this, client, node,
-                                                     proc, &network] {
-          sim::ScopedTraceContext trace_scope(network, proc);
+    network.defer_span(
+        node, "proc", federation_.config_.query_processing_delay,
+        [this, client, node, &network] {
           auto records = owner_->answer(client->principal(), client->query());
           auto reply = std::make_shared<QueryReply>();
           reply->local_matches = records.size();
@@ -43,7 +39,6 @@ class Federation::OwnerAgent : public QueryTarget {
             reply->records = std::move(records);
           }
           send_reply(network, node, client, std::move(reply));
-          network.end_span(proc);
         });
   }
 
@@ -56,8 +51,8 @@ Federation::Federation(FederationParams params)
     : config_(params.config),
       schema_(std::move(params.schema)),
       rng_(params.seed),
-      // Sharded mode forces tracing off: the trace context is plain
-      // single-threaded state that delivery closures write.
+      // Sharded mode forces tracing off: span ids and trace-ring order
+      // would depend on the shard threads' interleaving.
       trace_(params.trace_capacity > 0 && params.threads <= 1
                  ? std::make_unique<obs::TraceBuffer>(params.trace_capacity)
                  : nullptr),
@@ -277,7 +272,8 @@ QueryOutcome Federation::run_query_scoped(const record::Query& query,
   // network / processing / queueing / false-positive-detour phases.
   out.trace_id = client->span();
   if (trace_ && out.trace_id != 0) {
-    const auto tree = obs::SpanTree::build(trace_->events());
+    // A query's span chain never leaves its own tree.
+    const auto tree = obs::SpanTree::build(trace_->trace_events(out.trace_id));
     auto fwd = obs::query_critical_path(tree, out.trace_id,
                                         obs::QueryEndpoint::kForwarding);
     if (fwd.complete) {

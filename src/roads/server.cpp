@@ -72,7 +72,7 @@ void RoadsServer::trace_event(obs::TraceKind kind, sim::NodeId peer,
   // Point events inherit the causal tree of whatever handler emits
   // them, so e.g. a heartbeat-miss shows up inside the failure-check
   // wave that detected it.
-  ev.trace = network_.trace_context().trace;
+  ev.trace = obs::current_trace().trace;
   trace->record(std::move(ev));
 }
 
@@ -818,26 +818,20 @@ void RoadsServer::handle_query(std::shared_ptr<RoadsClient> client,
       miss->false_positive = true;
       return miss;
     }();
-    const auto proc = network_.begin_span(id_, "proc");
-    network_.simulator().schedule_after(
-        kQueryCacheHitDelay, [this, client, proc] {
-          if (!alive_) {
-            network_.end_span(proc);
-            return;
-          }
-          sim::ScopedTraceContext trace_scope(network_, proc);
-          serve(client, kMiss, proc);
-          network_.end_span(proc);
-        });
+    network_.defer_span(id_, "proc", kQueryCacheHitDelay,
+                        [this, client, epoch = life_epoch_] {
+                          if (!alive_ || life_epoch_ != epoch) return;
+                          serve(client, kMiss);
+                        });
     return;
   }
 
   if (active_queries_ < slot_limit()) {
     ++active_queries_;
-    begin_query(std::move(client), mode, network_.trace_context());
+    begin_query(std::move(client), mode, obs::current_trace());
   } else if (query_queue_.size() < config_.query_queue_limit) {
     query_queue_.push_back(
-        QueuedQuery{std::move(client), mode, network_.trace_context()});
+        QueuedQuery{std::move(client), mode, obs::current_trace()});
   } else {
     shed_query(client);
   }
@@ -848,10 +842,8 @@ void RoadsServer::begin_query(std::shared_ptr<RoadsClient> client,
                               const obs::TraceContext& arrival) {
   // The processing span opens at evaluation start so admission queueing
   // time is not attributed to per-hop processing; it parents under the
-  // arrival's context, which a queued query no longer runs in. The
-  // deferred closure re-enters the captured context: raw schedule_after
-  // timers run outside any delivery scope.
-  const auto proc = network_.begin_span_under(arrival, id_, "proc");
+  // arrival's context, which a queued query no longer runs in.
+  obs::ScopedTraceContext arrival_scope(arrival);
   std::shared_ptr<const QueryReply> cached;
   if (config_.query_cache_enabled) {
     cached = query_cache_.find(cache_key(*client, mode));
@@ -861,37 +853,31 @@ void RoadsServer::begin_query(std::shared_ptr<RoadsClient> client,
   // source of the cache's sustainable-QPS win.
   const auto delay =
       cached ? kQueryCacheHitDelay : config_.query_processing_delay;
-  network_.simulator().schedule_after(
-      delay, [this, client = std::move(client), mode, proc,
-              reply = std::move(cached)]() mutable {
-        if (!alive_) {
-          network_.end_span(proc);
-          return;
-        }
-        {
-          sim::ScopedTraceContext trace_scope(network_, proc);
-          if (!reply) {
-            auto fresh =
-                std::make_shared<const QueryReply>(evaluate(*client, mode));
-            // Cache fill, keyed by the state stamp AT EVALUATION TIME
-            // (the state the reply was computed from — a push that
-            // landed while this query sat in the processing delay keys
-            // the entry to the new state).
-            if (config_.query_cache_enabled) {
-              const auto key = cache_key(*client, mode);
-              if (fresh->false_positive) {
-                negative_cache_.insert(key, network_.simulator().now());
-              }
-              const auto evicted = query_cache_.insert(key, fresh);
-              if (evicted > 0) cache_evicted_.inc(evicted);
+  // The epoch check keeps a query admitted before a crash from being
+  // served (and from releasing a slot) by the restarted process.
+  network_.defer_span(
+      id_, "proc", delay,
+      [this, epoch = life_epoch_, client = std::move(client), mode,
+       reply = std::move(cached)]() mutable {
+        if (!alive_ || life_epoch_ != epoch) return;
+        if (!reply) {
+          auto fresh =
+              std::make_shared<const QueryReply>(evaluate(*client, mode));
+          // Cache fill, keyed by the state stamp AT EVALUATION TIME
+          // (the state the reply was computed from — a push that
+          // landed while this query sat in the processing delay keys
+          // the entry to the new state).
+          if (config_.query_cache_enabled) {
+            const auto key = cache_key(*client, mode);
+            if (fresh->false_positive) {
+              negative_cache_.insert(key, network_.simulator().now());
             }
-            reply = std::move(fresh);
+            const auto evicted = query_cache_.insert(key, fresh);
+            if (evicted > 0) cache_evicted_.inc(evicted);
           }
-          serve(client, std::move(reply), proc);
-          network_.end_span(proc);
+          reply = std::move(fresh);
         }
-        // Outside the scope: the next queued query's span must not
-        // open under this one.
+        serve(client, std::move(reply));
         finish_query();
       });
 }
@@ -978,8 +964,7 @@ QueryReply RoadsServer::evaluate(const RoadsClient& client,
 }
 
 void RoadsServer::serve(const std::shared_ptr<RoadsClient>& client,
-                        std::shared_ptr<const QueryReply> reply,
-                        const obs::TraceContext& proc) {
+                        std::shared_ptr<const QueryReply> reply) {
   // The one place the §V meters (fp rate, shortcut usage) move, so
   // they stay cache-transparent.
   if (reply->false_positive) {
@@ -987,7 +972,7 @@ void RoadsServer::serve(const std::shared_ptr<RoadsClient>& client,
     // Pinned to the processing span: the critical-path analyzer
     // marks the transit that fed this hop as detour time.
     trace_event(obs::TraceKind::kQueryFalsePositive, client->location(), 0.0,
-                proc.span);
+                obs::current_trace().span);
   }
   if (reply->shortcut_hits > 0) overlay_shortcut_hits_.inc(reply->shortcut_hits);
   send_reply(network_, id_, client, std::move(reply));
@@ -1006,16 +991,14 @@ void send_reply(sim::Network& network, sim::NodeId from,
   // Retrieval time is its own span (child of proc) so response
   // critical paths separate evaluation from service delay. A sender
   // that died meanwhile is silenced by the network (node down).
-  const auto svc = network.begin_span(from, "service");
   const auto service = reply->service_us;  // read before the move below
-  network.simulator().schedule_after(
-      service, [&network, from, client, svc, reply = std::move(reply)] {
-        sim::ScopedTraceContext svc_scope(network, svc);
+  network.defer_span(
+      from, "service", service,
+      [&network, from, client, reply = std::move(reply)] {
         network.send(from, client->location(), msg::results(reply->record_bytes),
                      sim::Channel::kResult, [client, from, reply] {
                        client->on_results(from, reply->records);
                      });
-        network.end_span(svc);
       });
 }
 

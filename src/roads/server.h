@@ -227,8 +227,7 @@ class RoadsServer : public QueryTarget {
   /// Bumps the reply's false-positive and shortcut meters, then sends
   /// it. Runs under the `proc` span.
   void serve(const std::shared_ptr<RoadsClient>& client,
-             std::shared_ptr<const QueryReply> reply,
-             const obs::TraceContext& proc);
+             std::shared_ptr<const QueryReply> reply);
   /// Concurrent evaluations allowed; a configured 0 means unlimited.
   std::size_t slot_limit() const;
   /// Releases an evaluation slot and admits the next queued query.

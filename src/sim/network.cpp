@@ -72,6 +72,7 @@ Network::Network(Simulator& simulator, DelaySpace& delay_space, util::Rng rng,
   fault_reordered_ = &metrics_->counter("sim.fault.reordered");
   fault_partitioned_ = &metrics_->counter("sim.fault.partitioned");
   sim_.bind_metrics(*metrics_);
+  sim_.set_tracing(trace_ != nullptr);
 }
 
 Simulator& Network::cur() {
@@ -85,8 +86,9 @@ void Network::attach_sharded(ShardedSimulator* sharded) {
   if (sharded_ != nullptr) {
     if (trace_ != nullptr) {
       throw std::logic_error(
-          "Network: tracing is incompatible with sharding (threads > 1); "
-          "disable the trace buffer or run single-threaded");
+          "Network: tracing is sequential-only (threads > 1 would make span "
+          "ids and trace order nondeterministic); disable the trace buffer "
+          "or run single-threaded");
     }
     sharded_->set_digest_sink(&digest_);
     sharded_->set_coin_mode(plan_.any_message_faults());
@@ -96,10 +98,12 @@ void Network::attach_sharded(ShardedSimulator* sharded) {
 void Network::set_trace(obs::TraceBuffer* trace) {
   if (trace != nullptr && sharded_ != nullptr) {
     throw std::logic_error(
-        "Network: tracing is incompatible with sharding (threads > 1); "
-        "detach the sharded coordinator before enabling the trace buffer");
+        "Network: tracing is sequential-only (threads > 1 would make span "
+        "ids and trace order nondeterministic); detach the sharded "
+        "coordinator before enabling the trace buffer");
   }
   trace_ = trace;
+  sim_.set_tracing(trace_ != nullptr);
 }
 
 bool Network::node_up(NodeId node) const {
@@ -119,18 +123,14 @@ void Network::trace_message(obs::TraceKind kind, NodeId from, NodeId to,
                   to_string(channel), trace, parent});
 }
 
-obs::TraceContext Network::begin_span_under(const obs::TraceContext& parent,
-                                            NodeId node, const char* label) {
+obs::TraceContext Network::begin_span(NodeId node, const char* label) {
   if (trace_ == nullptr) return {};
+  const auto& parent = obs::current_trace();
   const std::uint64_t id = trace_->next_span();
   const auto ctx = parent.child(id);
   trace_->record({sim_.now(), obs::TraceKind::kSpanBegin, id, node, node, 0,
                   0.0, label, ctx.trace, parent.span});
   return ctx;
-}
-
-obs::TraceContext Network::begin_span(NodeId node, const char* label) {
-  return begin_span_under(trace_ctx_, node, label);
 }
 
 void Network::end_span(const obs::TraceContext& ctx) {
@@ -261,10 +261,11 @@ void Network::send(NodeId from, NodeId to, std::uint64_t bytes,
 obs::TraceContext Network::trace_send(NodeId from, NodeId to,
                                       std::uint64_t bytes, Channel channel) {
   if (trace_ == nullptr) return {};
+  const auto& parent = obs::current_trace();
   const std::uint64_t span = trace_->next_span();
-  const auto ctx = trace_ctx_.child(span);
+  const auto ctx = parent.child(span);
   trace_message(obs::TraceKind::kSend, from, to, bytes, channel, span,
-                ctx.trace, trace_ctx_.span);
+                ctx.trace, parent.span);
   return ctx;
 }
 
@@ -273,43 +274,30 @@ void Network::schedule_delivery(NodeId from, NodeId to, std::uint64_t bytes,
                                 obs::TraceContext delivery_ctx,
                                 DeliverFn deliver) {
   EventFn event(
-      [this, from, to, bytes, channel, delivery_ctx,
-       fn = std::move(deliver)]() mutable {
+      [this, from, to, bytes, channel, fn = std::move(deliver)]() mutable {
         // A receiver that died in flight (or got partitioned away while
         // the message was on the wire) drops the message; the sender
         // already spent the bytes, so the channel charge stands.
-        if (!node_up(to)) {
+        const bool down = !node_up(to);
+        const bool lost = down || partitioned(from, to);
+        if (lost) {
           dropped_->inc();
-          digest_event(EventOutcome::kDropDeliver, from, to, bytes, channel);
-          if (trace_) {
-            trace_message(obs::TraceKind::kDrop, from, to, bytes, channel,
-                          delivery_ctx.span, delivery_ctx.trace);
-          }
-          return;
+          if (!down) fault_partitioned_->inc();
         }
-        if (partitioned(from, to)) {
-          dropped_->inc();
-          fault_partitioned_->inc();
-          digest_event(EventOutcome::kDropDeliver, from, to, bytes, channel);
-          if (trace_) {
-            trace_message(obs::TraceKind::kDrop, from, to, bytes, channel,
-                          delivery_ctx.span, delivery_ctx.trace);
-          }
-          return;
-        }
-        digest_event(EventOutcome::kDeliver, from, to, bytes, channel);
+        digest_event(lost ? EventOutcome::kDropDeliver : EventOutcome::kDeliver,
+                     from, to, bytes, channel);
         if (trace_) {
-          trace_message(obs::TraceKind::kDeliver, from, to, bytes, channel,
-                        delivery_ctx.span, delivery_ctx.trace);
+          const auto& transit = obs::current_trace();
+          trace_message(lost ? obs::TraceKind::kDrop : obs::TraceKind::kDeliver,
+                        from, to, bytes, channel, transit.span, transit.trace);
         }
-        // The handler runs inside the message's causal context: any
-        // send it makes becomes a child span of this transit.
-        ScopedTraceContext scope(*this, delivery_ctx);
-        fn();
+        if (!lost) fn();
       });
-  // Channel default wins only when the send site set no explicit tag;
-  // the slot byte is read by schedule_at/schedule_on_node below.
+  // The delivery runs in the transit span's context and, unless the
+  // send site set an explicit tag, under the channel's category; the
+  // engine captures both when the event is scheduled below.
   obs::ScopedProfDefault prof_default(channel_category(channel));
+  obs::ScopedTraceContext trace_scope(delivery_ctx);
   if (sharded_ != nullptr) {
     // Sharded mode: the delivery lands on the engine owning the
     // receiver (cross-shard sends ride the window log to the barrier).

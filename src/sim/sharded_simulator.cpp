@@ -231,16 +231,6 @@ std::size_t ShardedSimulator::run_parallel_window(Time window_end) {
   if (windows_counter_ != nullptr) windows_counter_->inc();
   ++par_.windows;
   const std::size_t before = stats().executed;
-  // Utilization accounting baselines: each shard engine accumulates
-  // its in-loop tick time into its ProfSink; the per-window busy is
-  // the delta across this window, and wall - busy is barrier wait.
-  std::uint64_t ticks0 = 0;
-  if (profiler_ != nullptr) {
-    for (const std::size_t i : active_) {
-      work_ticks_snap_[i] = shards_[i]->profile_sink()->work_ticks;
-    }
-    ticks0 = obs::prof_ticks();
-  }
   std::int64_t wall_us = 0;
   if (active_.size() == 1) {
     // One busy shard: run inline, skip the pool round-trip.
@@ -254,45 +244,35 @@ std::size_t ShardedSimulator::run_parallel_window(Time window_end) {
       run_shard_window(active_[k], window_end);
     });
     wall_us = now_us() - t0;
-    if (barrier_wait_counter_ != nullptr) {
-      for (const std::size_t i : active_) {
-        const std::int64_t wait = wall_us - busy_us_[i];
-        if (wait > 0) {
-          barrier_wait_counter_->inc(static_cast<std::uint64_t>(wait));
-        }
-      }
-    }
   }
+  // Per-shard utilization, one steady-clock measurement for both
+  // sinks: the sim.shard.<i>.* counters and the profiler's ledger.
+  if (profiler_ != nullptr) profiler_->note_window();
   if (profiler_ != nullptr || !shard_busy_counters_.empty()) {
     std::fill(shard_active_.begin(), shard_active_.end(), std::uint8_t{0});
     for (const std::size_t i : active_) shard_active_[i] = 1;
-  }
-  if (profiler_ != nullptr) {
-    const std::uint64_t wall_ticks = obs::prof_ticks() - ticks0;
-    profiler_->note_window();
+    const auto bump = [](obs::Counter* counter, std::int64_t us) {
+      if (us > 0) counter->inc(static_cast<std::uint64_t>(us));
+    };
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (shard_active_[i] != 0) {
-        const std::uint64_t busy =
-            shards_[i]->profile_sink()->work_ticks - work_ticks_snap_[i];
-        profiler_->note_shard_window(
-            i, busy, wall_ticks > busy ? wall_ticks - busy : 0);
-      } else {
-        profiler_->note_shard_idle(i, wall_ticks);
+      const bool active = shard_active_[i] != 0;
+      const std::int64_t busy = active ? busy_us_[i] : 0;
+      const std::int64_t wait =
+          active ? std::max<std::int64_t>(wall_us - busy, 0) : 0;
+      const std::int64_t idle = active ? 0 : wall_us;
+      if (profiler_ != nullptr) {
+        if (active) {
+          profiler_->note_shard_window(i, static_cast<double>(busy),
+                                       static_cast<double>(wait));
+        } else {
+          profiler_->note_shard_idle(i, static_cast<double>(idle));
+        }
       }
-    }
-  }
-  if (!shard_busy_counters_.empty()) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (shard_active_[i] != 0) {
-        if (busy_us_[i] > 0) {
-          shard_busy_counters_[i]->inc(static_cast<std::uint64_t>(busy_us_[i]));
-        }
-        const std::int64_t wait = wall_us - busy_us_[i];
-        if (wait > 0) {
-          shard_wait_counters_[i]->inc(static_cast<std::uint64_t>(wait));
-        }
-      } else if (wall_us > 0) {
-        shard_idle_counters_[i]->inc(static_cast<std::uint64_t>(wall_us));
+      if (!shard_busy_counters_.empty()) {
+        bump(shard_busy_counters_[i], busy);
+        bump(shard_wait_counters_[i], wait);
+        bump(barrier_wait_counter_, wait);
+        bump(shard_idle_counters_[i], idle);
       }
     }
   }
@@ -509,7 +489,6 @@ void ShardedSimulator::attach_profiler(obs::Profiler* profiler) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shards_[i]->set_profile_sink(&profiler->sink(i + 1));
   }
-  work_ticks_snap_.assign(shards_.size(), 0);
   if (shard_active_.size() != shards_.size()) {
     shard_active_.assign(shards_.size(), 0);
   }

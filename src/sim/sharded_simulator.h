@@ -263,7 +263,6 @@ class ShardedSimulator {
   std::vector<std::int64_t> busy_us_;
   std::vector<std::int64_t> busy_cpu_us_;
   obs::Profiler* profiler_ = nullptr;
-  std::vector<std::uint64_t> work_ticks_snap_;  // per-shard, per window
   std::vector<std::uint8_t> shard_active_;      // scratch flags per window
   ParallelStats par_;
   std::int64_t inline_cpu_us_ = 0;  // window CPU spent on the coordinator

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -106,6 +107,12 @@ EventId Simulator::schedule_at(Time when, EventFn fn) {
   // Category resolution (profiled runs only): the explicit scope tag
   // if one is active, else inherit from the executing handler.
   slot.category = prof_ != nullptr ? obs::prof_current_category() : 0;
+  if (traced_) {
+    if (slot_index >= slot_trace_.size()) {
+      slot_trace_.resize(chunks_.size() * kChunkSize);
+    }
+    slot_trace_[slot_index] = obs::current_trace();
+  }
   const std::uint32_t gen = slot.generation;
   if (window_log_ != nullptr) {
     // Parallel window: the global seq this event would have drawn
@@ -211,6 +218,8 @@ void Simulator::execute_ref(HeapKey key, HeapRef ref) {
     // nothing schedules, so per-event clearing would be wasted stores.
     obs::detail::t_exec_category = slot.category;
   }
+  std::optional<obs::ScopedTraceContext> trace_scope;
+  if (traced_) trace_scope.emplace(slot_trace_[ref.slot]);
   slot.fn();
   slot.fn = nullptr;
   slot.next_free = free_head_;

@@ -15,6 +15,13 @@
 // frees it, and the stale heap entry is skipped when it surfaces
 // because its generation no longer matches. No per-event hashing, no
 // allocation for closures that fit the EventFn inline buffer.
+//
+// Execution context: every event carries the context it was scheduled
+// under and runs inside it. The profiling category rides a byte of
+// slot padding (profiled engines only); the causal trace context
+// (obs::current_trace()) rides a side array indexed by slot, filled
+// only while tracing is on, so untraced engines keep the 96-byte slot
+// and pay one predictable branch per schedule and per dispatch.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/trace.h"
 #include "sim/time.h"
 #include "util/unique_function.h"
 
@@ -43,7 +51,7 @@ using EventId = std::uint64_t;
 /// Inline capacity 48 covers every protocol timer, fault transition
 /// and trampoline closure in the tree, keeping slab slots one cache
 /// line (96 bytes) so deep queues stay memory-lean. Network delivery
-/// closures (~150 bytes: DeliverFn + endpoints + TraceContext) spill
+/// closures (~130 bytes: DeliverFn + endpoints) spill
 /// to the thread-local util::spill pool, whose LIFO free lists hand
 /// back cache-warm blocks under the bounded in-flight message counts
 /// the protocols produce.
@@ -113,6 +121,17 @@ class Simulator {
   /// without a sink the engine pays one predictable branch per event.
   void set_profile_sink(obs::ProfSink* sink) { prof_ = sink; }
   obs::ProfSink* profile_sink() const { return prof_; }
+
+  /// Turns causal-context propagation on or off: while on, every
+  /// schedule captures obs::current_trace() and the event runs with it
+  /// installed. sim::Network switches it with its trace buffer.
+  /// Sequential engines only: barrier-merged cross-shard events
+  /// (insert_with_seq) carry no trace context. Events pending when
+  /// tracing turns on run under the inactive context.
+  void set_tracing(bool on) {
+    traced_ = on;
+    if (on) slot_trace_.assign(chunks_.size() * kChunkSize, {});
+  }
 
   // --- Sharded-engine hooks (sim::ShardedSimulator) -----------------------
   //
@@ -206,6 +225,7 @@ class Simulator {
     bool active = false;
     std::uint8_t category = 0;  // profiling tag (rides existing padding)
   };
+  static_assert(sizeof(Slot) == 96, "one event slot is 96 bytes");
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   // Fixed-size chunks keep slot addresses stable as the slab grows —
   // growth never move-constructs existing closures, and pop_one can
@@ -252,6 +272,8 @@ class Simulator {
   Stats stats_;
 
   obs::ProfSink* prof_ = nullptr;  // non-null: handler profiling on
+  bool traced_ = false;
+  std::vector<obs::TraceContext> slot_trace_;  // by slot; traced_ only
 
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Gauge* max_depth_gauge_ = nullptr;

@@ -253,10 +253,6 @@ TEST(TraceBuffer, DroppedPerKindAndBoundCounters) {
   EXPECT_EQ(trace.dropped(obs::TraceKind::kSend), 3u);
   EXPECT_EQ(trace.dropped(obs::TraceKind::kDeliver), 0u);
   EXPECT_EQ(trace.dropped(obs::TraceKind::kJoin), 0u);
-  const auto by_kind = trace.dropped_by_kind();
-  ASSERT_EQ(by_kind.size(), 1u);
-  EXPECT_EQ(by_kind[0].first, obs::TraceKind::kSend);
-  EXPECT_EQ(by_kind[0].second, 3u);
 
   // Late binding back-credits the evictions that already happened...
   obs::MetricsRegistry registry;
@@ -267,42 +263,6 @@ TEST(TraceBuffer, DroppedPerKindAndBoundCounters) {
   put(obs::TraceKind::kSend);
   EXPECT_EQ(trace.dropped(obs::TraceKind::kDeliver), 1u);
   EXPECT_EQ(registry.counter("obs.trace.dropped.deliver").value(), 1u);
-}
-
-TEST(Export, TraceJsonlGolden) {
-  obs::TraceBuffer trace(8);
-  obs::TraceEvent ev;
-  ev.at_us = 1234;
-  ev.kind = obs::TraceKind::kQueryHop;
-  ev.span = 7;
-  ev.node = 3;
-  ev.peer = 9;
-  ev.value = 2.5;
-  trace.record(ev);
-  std::ostringstream os;
-  obs::write_trace_jsonl(trace, os);
-  EXPECT_EQ(os.str(),
-            "{\"t_us\":1234,\"kind\":\"query_hop\",\"node\":3,"
-            "\"span\":7,\"peer\":9,\"value\":2.5}\n");
-}
-
-TEST(Export, TraceJsonlCausalFields) {
-  obs::TraceBuffer trace(8);
-  obs::TraceEvent ev;
-  ev.at_us = 10;
-  ev.kind = obs::TraceKind::kSend;
-  ev.span = 5;
-  ev.node = 1;
-  ev.peer = 2;
-  ev.bytes = 64;
-  ev.trace = 3;
-  ev.parent = 4;
-  trace.record(ev);
-  std::ostringstream os;
-  obs::write_trace_jsonl(trace, os);
-  EXPECT_EQ(os.str(),
-            "{\"t_us\":10,\"kind\":\"send\",\"node\":1,\"span\":5,"
-            "\"peer\":2,\"bytes\":64,\"trace\":3,\"parent\":4}\n");
 }
 
 TEST(Export, JsonHelpers) {

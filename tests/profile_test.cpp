@@ -6,7 +6,7 @@
 //    slab engine's invoke site,
 //  - Profiler snapshot/reset behavior,
 //  - flame-graph exporters (collapsed stacks + speedscope JSON) from
-//    both category profiles and causal SpanTrees,
+//    category profiles,
 //  - PROFILE JSON document shape,
 //  - and the determinism gate: profiling on/off at threads=1 and
 //    threads=4 leaves scenario event digests and metrics fingerprints
@@ -23,8 +23,6 @@
 #include <vector>
 
 #include "obs/profile.h"
-#include "obs/span_tree.h"
-#include "obs/trace.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "sim/simulator.h"
@@ -193,45 +191,6 @@ TEST(ProfExport, SpeedscopeFromCategoryProfileIsValidJson) {
   double total = 0.0;
   for (const auto& w : weights) total += w.as_number();
   EXPECT_DOUBLE_EQ(total, 200.0);
-}
-
-obs::TraceEvent span_event(std::int64_t at_us, obs::TraceKind kind,
-                           std::uint64_t span, std::uint64_t parent,
-                           const std::string& label = "") {
-  obs::TraceEvent ev;
-  ev.at_us = at_us;
-  ev.kind = kind;
-  ev.span = span;
-  ev.trace = 1;
-  ev.parent = parent;
-  ev.label = label;
-  return ev;
-}
-
-TEST(ProfExport, SpanTreeOverloadsWeightBySelfTime) {
-  // Root [0, 100] with one child [30, 60]: root self-time 70, child 30.
-  std::vector<obs::TraceEvent> events;
-  events.push_back(
-      span_event(0, obs::TraceKind::kSpanBegin, 1, 0, "summary_refresh"));
-  events.push_back(span_event(30, obs::TraceKind::kSpanBegin, 2, 1, "proc"));
-  events.push_back(span_event(60, obs::TraceKind::kSpanEnd, 2, 0));
-  events.push_back(span_event(100, obs::TraceKind::kSpanEnd, 1, 0));
-  const auto tree = obs::SpanTree::build(events);
-
-  std::ostringstream collapsed;
-  obs::write_collapsed(tree, collapsed);
-  const std::string text = collapsed.str();
-  EXPECT_NE(text.find("summary_refresh 70\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("summary_refresh;proc 30\n"), std::string::npos) << text;
-
-  std::ostringstream speedscope;
-  obs::write_speedscope(tree, speedscope, "spans");
-  const auto doc = util::parse_json(speedscope.str());
-  const auto& weights =
-      doc.at("profiles").as_array()[0].at("weights").as_array();
-  double total = 0.0;
-  for (const auto& w : weights) total += w.as_number();
-  EXPECT_DOUBLE_EQ(total, 100.0);  // self-times partition the root
 }
 
 TEST(ProfExport, ProfileJsonCarriesClockCategoriesAndShards) {

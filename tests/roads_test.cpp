@@ -449,20 +449,24 @@ TEST(NegativeCacheTtl, EntriesExpireAndRefresh) {
 /// admission controller armed; queries aimed at node 0's band never
 /// descend (children are pruned), so queue/shed accounting is exact.
 Federation& build_admission_fed(std::unique_ptr<Federation>& holder,
-                                std::size_t concurrency, std::size_t queue) {
+                                std::size_t concurrency, std::size_t queue,
+                                std::size_t servers = 3,
+                                sim::Time processing_delay = sim::ms(5)) {
   auto params = small_params();
   params.config.query_concurrency_limit = concurrency;
   params.config.query_queue_limit = queue;
-  params.config.query_processing_delay = sim::ms(5);
+  params.config.query_processing_delay = processing_delay;
   holder = std::make_unique<Federation>(std::move(params));
   auto& fed = *holder;
-  fed.add_servers(3);
-  for (std::size_t i = 0; i < 3; ++i) {
+  fed.add_servers(servers);
+  for (std::size_t i = 0; i < servers; ++i) {
     const auto node = static_cast<sim::NodeId>(i);
     auto owner = fed.add_owner(node, ExportMode::kDetailedRecords);
+    const double attr0 = (static_cast<double>(i) + 0.5) /
+                         static_cast<double>(servers);
     owner->store().insert(record::ResourceRecord(
         static_cast<record::RecordId>(i), owner->id(),
-        {record::AttributeValue((i + 0.5) / 3.0), record::AttributeValue(0.5),
+        {record::AttributeValue(attr0), record::AttributeValue(0.5),
          record::AttributeValue(0.5), record::AttributeValue(0.5)}));
     fed.server(node).attach_owner(owner, ExportMode::kDetailedRecords);
   }
@@ -554,6 +558,43 @@ TEST(QueryAdmission, QueuedQueriesKeepTheirCausalTree) {
     EXPECT_GE(proc_spans_by_trace[c->span()], 1u)
         << "query " << c->span() << " lost its proc span";
   }
+}
+
+// A query admitted before a crash died with that process: the
+// restarted server must not answer it, and its stale completion must
+// not free the slot a post-restart query holds.
+TEST(QueryAdmission, QueryAdmittedBeforeCrashIsNotServedAfterRestart) {
+  std::unique_ptr<Federation> holder;
+  auto& fed = build_admission_fed(holder, /*concurrency=*/1, /*queue=*/8,
+                                  /*servers=*/4, sim::seconds(2));
+  // Matches no record and no summary: the start server alone serves it.
+  const auto q = query_attr0(0.96, 0.99);
+  const sim::NodeId server = 3;
+  const auto a = fed.issue_query(q, server);
+  fed.advance(sim::ms(500));
+  fed.server(server).fail();
+  fed.advance(sim::ms(300));
+  fed.server(server).restart(0);
+  fed.advance(sim::ms(200));
+  const sim::Time issued = fed.simulator().now();
+  const auto b = fed.issue_query(q, server);
+  const auto c = fed.issue_query(q, server);
+
+  std::map<const core::RoadsClient*, sim::Time> done_at;
+  for (std::size_t guard = 0; done_at.size() < 3; ++guard) {
+    ASSERT_GT(fed.step(1), 0u) << "engine drained with clients open";
+    ASSERT_LT(guard, 1'000'000u);
+    for (const auto* client : {a.get(), b.get(), c.get()}) {
+      if (client->done()) done_at.emplace(client, fed.simulator().now());
+    }
+  }
+  // One evaluation slot: C waits out B's full processing delay, then
+  // its own.
+  EXPECT_GE(done_at[c.get()] - issued, sim::seconds(4));
+  // A is never answered; it ends by its reply timeout.
+  EXPECT_GE(done_at[a.get()] - a->result().issued_at,
+            core::RoadsClient::kReplyTimeout);
+  EXPECT_EQ(a->result().matching_records, 0u);
 }
 
 // --- Pure evaluation: RoadsServer::evaluate ---

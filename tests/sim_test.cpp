@@ -863,10 +863,10 @@ TEST(Network, SendPathCreatesNoNewInstruments) {
   EXPECT_EQ(f.net.metrics().histograms().size(), histograms);
 }
 
-// Satellite (profiling PR): span tracing is single-threaded state, so
-// enabling it alongside the sharded coordinator must fail loudly at
-// configuration time from either direction — not corrupt trace state
-// at the first cross-thread delivery.
+// Satellite (profiling PR): span tracing is sequential-only — span ids
+// and trace-ring order would not be deterministic across shard threads
+// — so enabling it alongside the sharded coordinator must fail loudly
+// at configuration time from either direction.
 TEST(Network, TraceAndShardingGuardEachOtherAtAttachTime) {
   obs::TraceBuffer trace(64);
   {
@@ -888,6 +888,28 @@ TEST(Network, TraceAndShardingGuardEachOtherAtAttachTime) {
     f.net.attach_sharded(nullptr);
     EXPECT_NO_THROW(f.net.set_trace(&trace));
   }
+}
+
+// Work a traced handler defers through the raw engine stays in the
+// handler's causal tree: every event runs in the trace context it was
+// scheduled under.
+TEST(Network, DeferredWorkStaysInItsCausalTree) {
+  obs::TraceBuffer trace(64);
+  NetFixture f;
+  f.net.set_trace(&trace);
+  std::uint64_t root = 0;
+  {
+    TraceSpan span(f.net, 0, "wave");
+    root = span.context().span;
+    f.sim.schedule_after(5, [&f] {
+      f.net.send(0, 1, 10, Channel::kQuery, [] {});
+    });
+  }
+  f.sim.run();
+  const auto sends = trace.events_of(obs::TraceKind::kSend);
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_EQ(sends[0].parent, root);
+  EXPECT_EQ(sends[0].trace, root);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // engine — every figure bench funnels through these paths, so the
 // `ms` column is gated by the CI baseline diff like any other bench.
 //
-// Workloads (each timed as the min of kRepeats runs):
+// Workloads (each timed as the min of kRepeats runs; the three net_send
+// variants as the min of their legs in the paired runs below):
 //   schedule_run        N one-shot events, then drain.
 //   schedule_cancel_run 2N scheduled, every other one cancelled (O(1)
 //                       tombstone path), then drain.
@@ -23,12 +24,14 @@
 //   net_send_probed     net_send with an obs::Timeline sampling the
 //                       channel counters and queue watermark every 1 s
 //                       of sim time — the telemetry acceptance check
-//                       (probe overhead budget: <= 2% vs net_send).
+//                       (probe overhead budget: <= 2% vs net_send, the
+//                       median of order-alternating paired runs).
 //   net_send_profiled   net_send with an obs::Profiler sink attached —
 //                       every delivery is category-tagged and timed —
 //                       the profiler acceptance check (overhead budget:
-//                       <= 2% vs net_send, gated when --baseline is
-//                       given, i.e. under the CI regression gate).
+//                       <= 2% vs net_send, measured like the probes and
+//                       gated when --baseline is given, i.e. under the
+//                       CI regression gate).
 //   sharded_chain_sN    N-shard parallel engine: 512 independent
 //                       message chains hopping across 64 nodes, every
 //                       hop landing exactly one lookahead ahead — the
@@ -36,10 +39,10 @@
 //                       and barrier merge. s1 carries the full window
 //                       machinery on one shard; s1 ms / sN ms is the
 //                       raw engine speedup with no protocol attached.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench_common.h"
@@ -49,6 +52,7 @@
 #include "sim/network.h"
 #include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
+#include "util/stats.h"
 #include "util/unique_function.h"
 
 namespace {
@@ -177,122 +181,95 @@ WorkloadResult run_net_workload(Body body) {
   return best;
 }
 
-/// net_send and net_send_profiled share one paired measurement: each
-/// repetition runs the plain and profiled legs back to back, the
+/// What rides along with a net_send leg: nothing, an obs::Profiler
+/// sink (every delivery category-tagged and timed), or live telemetry
+/// probes (a Timeline windowing the query-channel counters and the
+/// queue-depth watermark once per simulated second).
+enum class NetSendExtra { kNone, kProfiler, kProbes };
+
+/// One net_send run: N Network::send deliveries with a bounded window
+/// in flight, plus `extra`.
+WorkloadResult net_send_leg(NetSendExtra extra) {
+  sim::Simulator sim;
+  sim::DelaySpace space(16, util::Rng(7));
+  obs::MetricsRegistry registry;
+  sim::Network net(sim, space, util::Rng(11), &registry);
+  obs::Profiler profiler;
+  if (extra == NetSendExtra::kProfiler) sim.set_profile_sink(&profiler.sink(0));
+  std::optional<obs::Timeline> timeline;
+  if (extra == NetSendExtra::kProbes) {
+    obs::TimelineConfig tcfg;
+    tcfg.window = sim::seconds(1);
+    timeline.emplace(registry, tcfg);
+    timeline->track_counter("net.query.messages");
+    timeline->track_counter("net.query.bytes");
+    timeline->track_gauge("sim.queue.depth");
+    timeline->add_probe("queue.window_max_depth", [&sim](sim::Time) {
+      return static_cast<double>(sim.take_window_max_depth());
+    });
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  constexpr std::size_t kWindow = 1024;
+  auto sent = std::make_shared<std::size_t>(0);
+  auto sink = std::make_shared<std::uint64_t>(0);
+  auto pump = std::make_shared<util::UniqueFunction<void()>>();
+  *pump = [&net, sent, sink, pump] {
+    if (*sent >= kEvents) return;
+    const std::size_t i = (*sent)++;
+    net.send(static_cast<sim::NodeId>(i % 16),
+             static_cast<sim::NodeId>((i + 3) % 16), 64 + i % 128,
+             sim::Channel::kQuery, [sink, pump, i] {
+               *sink += i;
+               (*pump)();
+             });
+  };
+  for (std::size_t w = 0; w < kWindow; ++w) (*pump)();
+  if (timeline) timeline->start(sim);  // self-terminating once drained
+  sim.run();
+  WorkloadResult r;
+  r.ms = wall_ms(t0);
+  const auto& stats = sim.stats();
+  r.executed = stats.executed;
+  const double scheduled =
+      static_cast<double>(stats.inline_events + stats.spilled_events);
+  r.spill_pct =
+      scheduled > 0.0 ? 100.0 * stats.spilled_events / scheduled : 0.0;
+  return r;
+}
+
+/// A plain net_send leg paired with one carrying `extra`: each pair
+/// runs the two legs back to back, alternating which goes first, the
 /// overhead is the MEDIAN of the per-pair ratios, and the table rows
 /// keep the per-leg minima. On a shared host, wall-clock drift between
 /// distant measurements dwarfs a 2% effect; adjacent pairs see the
-/// same conditions and the median sheds the odd preempted pair.
+/// same conditions, alternation cancels any first-leg bias and the
+/// median sheds the odd preempted pair.
 struct NetSendPair {
   WorkloadResult plain;
-  WorkloadResult profiled;
+  WorkloadResult extra;
   double overhead_pct = 0.0;
 };
 
-NetSendPair net_send_pair() {
-  constexpr int kPairs = 7;
+NetSendPair net_send_pair(NetSendExtra extra) {
+  constexpr int kPairs = 8;
   NetSendPair best;
-  std::vector<double> ratios;
-  ratios.reserve(kPairs);
+  util::Samples ratios;
   for (int rep = 0; rep < kPairs; ++rep) {
-    double pair_ms[2] = {0.0, 0.0};
-    for (int leg = 0; leg < 2; ++leg) {
-      const bool with_profiler = leg == 1;
-      sim::Simulator sim;
-      sim::DelaySpace space(16, util::Rng(7));
-      sim::Network net(sim, space, util::Rng(11));
-      obs::Profiler profiler;
-      if (with_profiler) sim.set_profile_sink(&profiler.sink(0));
-
-      const auto t0 = std::chrono::steady_clock::now();
-      constexpr std::size_t kWindow = 1024;
-      auto sent = std::make_shared<std::size_t>(0);
-      auto sink = std::make_shared<std::uint64_t>(0);
-      auto pump = std::make_shared<util::UniqueFunction<void()>>();
-      *pump = [&net, sent, sink, pump] {
-        if (*sent >= kEvents) return;
-        const std::size_t i = (*sent)++;
-        net.send(static_cast<sim::NodeId>(i % 16),
-                 static_cast<sim::NodeId>((i + 3) % 16), 64 + i % 128,
-                 sim::Channel::kQuery, [sink, pump, i] {
-                   *sink += i;
-                   (*pump)();
-                 });
-      };
-      for (std::size_t w = 0; w < kWindow; ++w) (*pump)();
-      sim.run();
-      const double ms = wall_ms(t0);
-      pair_ms[leg] = ms;
-      const auto& stats = sim.stats();
-      WorkloadResult& slot = with_profiler ? best.profiled : best.plain;
-      if (slot.ms == 0.0 || ms < slot.ms) {
-        slot.ms = ms;
-        slot.executed = stats.executed;
-        const double scheduled =
-            static_cast<double>(stats.inline_events + stats.spilled_events);
-        slot.spill_pct =
-            scheduled > 0.0 ? 100.0 * stats.spilled_events / scheduled : 0.0;
-      }
+    WorkloadResult plain;
+    WorkloadResult with_extra;
+    if (rep % 2 == 0) {
+      plain = net_send_leg(NetSendExtra::kNone);
+      with_extra = net_send_leg(extra);
+    } else {
+      with_extra = net_send_leg(extra);
+      plain = net_send_leg(NetSendExtra::kNone);
     }
-    if (pair_ms[0] > 0.0) ratios.push_back(pair_ms[1] / pair_ms[0]);
+    if (rep == 0 || plain.ms < best.plain.ms) best.plain = plain;
+    if (rep == 0 || with_extra.ms < best.extra.ms) best.extra = with_extra;
+    if (plain.ms > 0.0) ratios.add(with_extra.ms / plain.ms);
   }
-  if (!ratios.empty()) {
-    std::sort(ratios.begin(), ratios.end());
-    best.overhead_pct = (ratios[ratios.size() / 2] - 1.0) * 100.0;
-  }
-  return best;
-}
-
-// net_send with a live telemetry sampler: same windowed pump, plus a
-// Timeline windowing the query-channel counters and the queue-depth
-// watermark once per simulated second. The delta vs net_send is the
-// whole cost of carrying probes in a hot event loop.
-WorkloadResult net_send_probed() {
-  WorkloadResult best;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    sim::Simulator sim;
-    sim::DelaySpace space(16, util::Rng(7));
-    obs::MetricsRegistry registry;
-    sim::Network net(sim, space, util::Rng(11), &registry);
-    obs::TimelineConfig tcfg;
-    tcfg.window = sim::seconds(1);
-    obs::Timeline timeline(registry, tcfg);
-    timeline.track_counter("net.query.messages");
-    timeline.track_counter("net.query.bytes");
-    timeline.track_gauge("sim.queue.depth");
-    timeline.add_probe("queue.window_max_depth", [&sim](sim::Time) {
-      return static_cast<double>(sim.take_window_max_depth());
-    });
-
-    const auto t0 = std::chrono::steady_clock::now();
-    constexpr std::size_t kWindow = 1024;
-    auto sent = std::make_shared<std::size_t>(0);
-    auto sink = std::make_shared<std::uint64_t>(0);
-    auto pump = std::make_shared<util::UniqueFunction<void()>>();
-    *pump = [&net, sent, sink, pump] {
-      if (*sent >= kEvents) return;
-      const std::size_t i = (*sent)++;
-      net.send(static_cast<sim::NodeId>(i % 16),
-               static_cast<sim::NodeId>((i + 3) % 16), 64 + i % 128,
-               sim::Channel::kQuery, [sink, pump, i] {
-                 *sink += i;
-                 (*pump)();
-               });
-    };
-    for (std::size_t w = 0; w < kWindow; ++w) (*pump)();
-    timeline.start(sim);  // self-terminating once the pump drains
-    sim.run();
-    const double ms = wall_ms(t0);
-    const auto& stats = sim.stats();
-    if (rep == 0 || ms < best.ms) {
-      best.ms = ms;
-      best.executed = stats.executed;
-      const double scheduled =
-          static_cast<double>(stats.inline_events + stats.spilled_events);
-      best.spill_pct =
-          scheduled > 0.0 ? 100.0 * stats.spilled_events / scheduled : 0.0;
-    }
-  }
+  if (ratios.count() > 0) best.overhead_pct = (ratios.median() - 1.0) * 100.0;
   return best;
 }
 
@@ -384,18 +361,16 @@ int main(int argc, char** argv) {
   // Best of up to 3 paired measurements: the true profiler cost
   // reproduces in every attempt, a preemption spike does not, so the
   // minimum is the faithful estimate for a 2% budget on a shared host.
-  auto pair = net_send_pair();
+  auto pair = net_send_pair(NetSendExtra::kProfiler);
   for (int attempt = 1; attempt < 3 && pair.overhead_pct > 2.0; ++attempt) {
-    auto retry = net_send_pair();
+    auto retry = net_send_pair(NetSendExtra::kProfiler);
     if (retry.overhead_pct < pair.overhead_pct) pair = retry;
   }
-  const auto plain = pair.plain;
-  const auto profiled = pair.profiled;
-  add_row(table, "net_send", plain);
+  const auto probes = net_send_pair(NetSendExtra::kProbes);
+  add_row(table, "net_send", pair.plain);
   add_row(table, "net_burst", net_burst());
-  const auto probed = net_send_probed();
-  add_row(table, "net_send_probed", probed);
-  add_row(table, "net_send_profiled", profiled);
+  add_row(table, "net_send_probed", probes.extra);
+  add_row(table, "net_send_profiled", pair.extra);
   const auto s1 = sharded_chain(1);
   add_row(table, "sharded_chain_s1", s1);
   add_row(table, "sharded_chain_s2", sharded_chain(2));
@@ -404,11 +379,10 @@ int main(int argc, char** argv) {
   add_row(table, "sharded_chain_s8", s8);
   table.print(std::cout);
 
-  const double probe_overhead_pct =
-      plain.ms > 0.0 ? (probed.ms / plain.ms - 1.0) * 100.0 : 0.0;
   std::printf("\nprobe overhead: net_send_probed vs net_send = %+.2f%% "
-              "(telemetry budget: <= 2%% at a 1 s probe interval)\n",
-              probe_overhead_pct);
+              "(median of paired runs; telemetry budget: <= 2%% at a 1 s "
+              "probe interval)\n",
+              probes.overhead_pct);
   const double profiler_overhead_pct = pair.overhead_pct;
   std::printf("profiler overhead: net_send_profiled vs net_send = %+.2f%% "
               "(median of paired runs; budget: <= 2%% with a sink "

@@ -70,17 +70,19 @@ int main() {
       outcome.latency_ms,
       static_cast<unsigned long long>(outcome.query_bytes));
 
-  // Every query allocates a trace span; replay this one hop by hop
-  // from the federation's trace buffer.
+  // Every query roots a causal trace; replay this one hop by hop from
+  // the federation's trace buffer.
+  std::size_t hops = 0;
   if (const auto* trace = fed.trace()) {
     const auto starts = trace->events_of(obs::TraceKind::kQueryStart);
     if (!starts.empty()) {
-      std::printf("\ntrace of span %llu:\n",
-                  static_cast<unsigned long long>(starts.back().span));
-      for (const auto& ev : trace->span_events(starts.back().span)) {
-        std::printf("  t=%6.1fms  %-14s node=%u  value=%.1f\n",
+      std::printf("\ntrace %llu:\n",
+                  static_cast<unsigned long long>(starts.back().trace));
+      for (const auto& ev : trace->trace_events(starts.back().trace)) {
+        if (ev.kind == obs::TraceKind::kQueryHop) ++hops;
+        std::printf("  t=%6.1fms  %-14s node=%u  peer=%u  value=%.1f\n",
                     static_cast<double>(ev.at_us) / 1000.0,
-                    obs::to_string(ev.kind), ev.node, ev.value);
+                    obs::to_string(ev.kind), ev.node, ev.peer, ev.value);
       }
     }
   }
@@ -89,5 +91,9 @@ int main() {
                   fed.metrics().counter("roads.query.hops").value()));
 
   util::set_log_clock(nullptr);
+  if (hops == 0) {
+    std::fprintf(stderr, "quickstart: the trace replay holds no query hop\n");
+    return 1;
+  }
   return outcome.matching_records == 2 ? 0 : 1;
 }

@@ -29,13 +29,6 @@ bool ReplicaStore::has(NodeId origin, SummaryKind kind) const {
   return find(origin, kind) != nullptr;
 }
 
-std::size_t ReplicaStore::erase_origin(NodeId origin) {
-  std::size_t removed = 0;
-  removed += replicas_.erase({origin, SummaryKind::kBranch});
-  removed += replicas_.erase({origin, SummaryKind::kLocal});
-  return removed;
-}
-
 std::size_t ReplicaStore::sweep(sim::Time now) {
   std::size_t removed = 0;
   for (auto it = replicas_.begin(); it != replicas_.end();) {

@@ -46,10 +46,6 @@ class ReplicaStore {
   const Replica* find(NodeId origin, SummaryKind kind) const;
   bool has(NodeId origin, SummaryKind kind) const;
 
-  /// Drops every replica originated by `origin` (both kinds), e.g. when
-  /// the origin is known to have left. Returns how many were removed.
-  std::size_t erase_origin(NodeId origin);
-
   /// Removes replicas older than now - ttl; returns how many expired.
   std::size_t sweep(sim::Time now);
 

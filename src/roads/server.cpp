@@ -184,7 +184,6 @@ void RoadsServer::restart(sim::NodeId seed) {
   children_.clear();
   child_summaries_.clear();
   pushed_digests_.clear();
-  parent_push_digest_.reset();
   last_pushed_stats_ = hierarchy::BranchStats{};
   branch_summary_.reset();
   replicas_.clear();
@@ -248,8 +247,10 @@ void RoadsServer::reexport_owner(record::OwnerId owner_id) {
   }
 }
 
-void RoadsServer::export_owner(Attachment& att) {
+void RoadsServer::export_owner(Attachment& att, bool keepalive) {
+  att.exported_version = att.owner->store().version();
   std::uint64_t bytes = 0;
+  bool changed = true;
   if (att.mode == ExportMode::kDetailedRecords) {
     // The owner ships raw records.
     for (const auto& r : att.owner->store().snapshot()) {
@@ -257,13 +258,21 @@ void RoadsServer::export_owner(Attachment& att) {
       store_.insert(r);
     }
   } else {
-    att.summary = std::make_shared<const summary::ResourceSummary>(
+    auto fresh = std::make_shared<const summary::ResourceSummary>(
         att.owner->export_summary(config_.summary));
+    const auto digest = fresh->digest();
+    changed = !att.summary || digest != att.exported_digest;
+    att.summary = std::move(fresh);
+    att.exported_digest = digest;
     bytes = msg::summary_update(*att.summary);
   }
-  // Remote exports cost update traffic.
-  if (att.owner->node() != id_) {
+  // Remote exports cost update traffic; an unchanged summary is shipped
+  // only on keepalive rounds.
+  if (att.owner->node() == id_) return;
+  if (keepalive || changed) {
     network_.send(att.owner->node(), id_, bytes, sim::Channel::kUpdate, [] {});
+  } else {
+    summary_push_suppressed_.inc();
   }
 }
 
@@ -274,29 +283,14 @@ void RoadsServer::export_owner(Attachment& att) {
 void RoadsServer::refresh_attachment_summaries(bool keepalive) {
   for (auto& att : attachments_) {
     if (att.mode != ExportMode::kSummaryOnly) continue;
-    const auto version = att.owner->store().version();
-    if (!keepalive && att.summary && version == att.exported_version) {
+    if (!keepalive && att.summary &&
+        att.owner->store().version() == att.exported_version) {
       // Owner data untouched since the last export: skip the recompute
       // and the wire round-trip entirely.
       summary_refresh_skipped_.inc();
       continue;
     }
-    auto fresh = std::make_shared<const summary::ResourceSummary>(
-        att.owner->export_summary(config_.summary));
-    const auto digest = fresh->digest();
-    const bool changed = !att.summary || digest != att.exported_digest;
-    att.summary = std::move(fresh);
-    att.exported_version = version;
-    att.exported_digest = digest;
-    if (att.owner->node() != id_) {
-      if (keepalive || changed) {
-        network_.send(att.owner->node(), id_,
-                      msg::summary_update(*att.summary), sim::Channel::kUpdate,
-                      [] {});
-      } else {
-        summary_push_suppressed_.inc();
-      }
-    }
+    export_owner(att, keepalive);
   }
 }
 
@@ -320,11 +314,9 @@ SummaryPtr RoadsServer::compute_branch_summary() const {
   summary::ResourceSummary branch =
       local_summary_ ? *local_summary_
                      : summary::ResourceSummary(schema_, config_.summary);
-  for (const auto& [child, summary] : child_summaries_) {
-    if (summary && children_.has(child)) {
-      branch.merge(*summary);
-      summary_merges_.inc();
-    }
+  for (const auto& [_, summary] : child_summaries_) {
+    branch.merge(*summary);
+    summary_merges_.inc();
   }
   return std::make_shared<const summary::ResourceSummary>(std::move(branch));
 }
@@ -346,32 +338,24 @@ void RoadsServer::refresh_summaries() {
   local_summary_ = compute_local_summary();
   branch_summary_ = compute_branch_summary();
 
-  // Bottom-up aggregation (§III-B); silent when the branch digest has
-  // not moved since the last push.
-  if (parent_) {
-    const auto digest = branch_summary_->digest();
-    if (keepalive || parent_push_digest_ != digest) {
-      push_branch_up(digest, keepalive);
-    } else {
-      summary_push_suppressed_.inc();
-    }
-  }
-
-  // Top-down replication (§III-C): own branch + local summaries flow to
-  // every descendant with the ancestor role; direct children see us one
-  // level up.
-  if (config_.overlay_enabled) {
-    push_replica_to_children({id_, overlay::SummaryKind::kBranch,
-                              overlay::ReplicaRole::kAncestor, 1},
-                             branch_summary_, keepalive);
-    push_replica_to_children({id_, overlay::SummaryKind::kLocal,
-                              overlay::ReplicaRole::kAncestor, 1},
-                             local_summary_, keepalive);
-  }
+  // Bottom-up aggregation (§III-B), then top-down replication (§III-C):
+  // own branch + local summaries flow to every descendant with the
+  // ancestor role; direct children see us one level up.
+  push_branch_up(keepalive);
+  push_replica_to_children({id_, overlay::SummaryKind::kBranch,
+                            overlay::ReplicaRole::kAncestor, 1},
+                           branch_summary_, keepalive);
+  push_replica_to_children({id_, overlay::SummaryKind::kLocal,
+                            overlay::ReplicaRole::kAncestor, 1},
+                           local_summary_, keepalive);
 }
 
-void RoadsServer::push_branch_up(std::uint64_t digest, bool keepalive) {
-  parent_push_digest_ = digest;
+void RoadsServer::push_branch_up(bool keepalive) {
+  if (!parent_ || !branch_summary_ ||
+      !note_push(*parent_, id_, overlay::SummaryKind::kBranch,
+                 branch_summary_->digest(), keepalive)) {
+    return;
+  }
   const auto stats = children_.aggregate();
   last_pushed_stats_ = stats;
   send_to_server(
@@ -390,31 +374,11 @@ void RoadsServer::handle_child_summary(sim::NodeId child,
   children_.update_summary(child, network_.simulator().now());
   child_summaries_[child] = branch;
   mark_summary_state_dirty();
-  forward_child_summary_to_siblings(child, branch, keepalive);
+  // Receive-time forward to the child's siblings (§III-C).
+  push_replica_to_children({child, overlay::SummaryKind::kBranch,
+                            overlay::ReplicaRole::kSibling, 1},
+                           branch, keepalive, child);
   push_stats_up();
-}
-
-void RoadsServer::forward_child_summary_to_siblings(sim::NodeId child,
-                                                    const SummaryPtr& summary,
-                                                    bool keepalive) {
-  if (!summary || !config_.overlay_enabled) return;
-  const overlay::ReplicaSpec spec{child, overlay::SummaryKind::kBranch,
-                                  overlay::ReplicaRole::kSibling, 1};
-  // Replica traffic splits off the generic kUpdate channel default.
-  obs::ScopedProfCategory prof_tag(obs::ProfCategory::kReplicaCascade);
-  const auto digest = summary->digest();
-  for (const auto sibling : children_.ids()) {
-    if (sibling == child) continue;
-    if (!note_push(sibling, child, static_cast<std::uint8_t>(spec.kind),
-                   digest, keepalive)) {
-      summary_push_suppressed_.inc();
-      continue;
-    }
-    send_to_server(sibling, msg::replica_push(*summary), sim::Channel::kUpdate,
-                   [spec, summary, keepalive](RoadsServer& s) {
-                     s.handle_replica(spec, summary, keepalive);
-                   });
-  }
 }
 
 void RoadsServer::handle_replica(overlay::ReplicaSpec spec, SummaryPtr summary,
@@ -434,14 +398,15 @@ void RoadsServer::handle_replica(overlay::ReplicaSpec spec, SummaryPtr summary,
 
 void RoadsServer::push_replica_to_children(const overlay::ReplicaSpec& spec,
                                            const SummaryPtr& summary,
-                                           bool keepalive) {
-  if (!summary) return;
+                                           bool keepalive,
+                                           std::optional<sim::NodeId> skip) {
+  if (!summary || !config_.overlay_enabled) return;
+  // Replica traffic splits off the generic kUpdate channel default.
   obs::ScopedProfCategory prof_tag(obs::ProfCategory::kReplicaCascade);
   const auto digest = summary->digest();
   for (const auto child : children_.ids()) {
-    if (!note_push(child, spec.origin, static_cast<std::uint8_t>(spec.kind),
-                   digest, keepalive)) {
-      summary_push_suppressed_.inc();
+    if (child == skip ||
+        !note_push(child, spec.origin, spec.kind, digest, keepalive)) {
       continue;
     }
     send_to_server(child, msg::replica_push(*summary), sim::Channel::kUpdate,
@@ -452,22 +417,32 @@ void RoadsServer::push_replica_to_children(const overlay::ReplicaSpec& spec,
 }
 
 bool RoadsServer::note_push(sim::NodeId dest, sim::NodeId origin,
-                            std::uint8_t kind, std::uint64_t digest,
+                            overlay::SummaryKind kind, std::uint64_t digest,
                             bool keepalive) {
-  auto& streams = pushed_digests_[dest];
-  auto [it, inserted] = streams.try_emplace({origin, kind}, digest);
+  auto [it, inserted] =
+      pushed_digests_[dest].try_emplace({origin, kind}, digest);
   if (inserted || keepalive || it->second != digest) {
     it->second = digest;
     return true;
   }
+  summary_push_suppressed_.inc();
   return false;
+}
+
+void RoadsServer::forget_dead_streams() {
+  for (auto& [_, streams] : pushed_digests_) {
+    std::erase_if(streams, [this](const auto& entry) {
+      const auto [origin, kind] = entry.first;
+      const bool child_branch =
+          kind == overlay::SummaryKind::kBranch && children_.has(origin);
+      return origin != id_ && !child_branch && !replicas_.has(origin, kind);
+    });
+  }
 }
 
 std::uint64_t RoadsServer::stored_summary_bytes() const {
   std::uint64_t total = replicas_.stored_bytes();
-  for (const auto& [_, s] : child_summaries_) {
-    if (s) total += s->wire_size();
-  }
+  for (const auto& [_, s] : child_summaries_) total += s->wire_size();
   if (local_summary_) total += local_summary_->wire_size();
   if (branch_summary_) total += branch_summary_->wire_size();
   return total;
@@ -587,9 +562,8 @@ void RoadsServer::handle_join_response(sim::NodeId responder,
       // steering stays accurate, and hand it our branch summary if we
       // carry a subtree from before a rejoin.
       last_pushed_stats_ = hierarchy::BranchStats{};
-      parent_push_digest_.reset();  // new parent: never suppress its first push
       push_stats_up();
-      if (branch_summary_) push_branch_up(branch_summary_->digest(), true);
+      push_branch_up(/*keepalive=*/true);
       finish_join(true);
       return;
     }
@@ -718,15 +692,18 @@ void RoadsServer::on_failure_check_timer() {
     rejoin(recovery_candidates_);
   }
 
-  if (replicas_.sweep(now) > 0) mark_summary_state_dirty();
+  if (replicas_.sweep(now) > 0) {
+    mark_summary_state_dirty();
+    forget_dead_streams();
+  }
 }
 
 void RoadsServer::parent_lost() {
   const auto old_path = root_path_;
   const bool parent_was_root =
       parent_ && old_path.length() >= 2 && old_path.root() == *parent_;
+  if (parent_) pushed_digests_.erase(*parent_);
   parent_.reset();
-  parent_push_digest_.reset();
 
   std::vector<sim::NodeId> candidates;
   if (parent_was_root) {
@@ -781,6 +758,7 @@ void RoadsServer::drop_child(sim::NodeId child) {
   children_.remove(child);
   child_summaries_.erase(child);
   pushed_digests_.erase(child);
+  forget_dead_streams();
   mark_summary_state_dirty();
   push_stats_up();
 }
@@ -918,9 +896,7 @@ QueryReply RoadsServer::evaluate(const RoadsClient& client,
   // Branch descent through matching children (§III-B).
   if (mode != QueryMode::kLocalOnly) {
     for (const auto& [child, summary] : child_summaries_) {
-      if (summary && children_.has(child) && summary->matches(q)) {
-        targets.emplace_back(child, QueryMode::kBranch);
-      }
+      if (summary->matches(q)) targets.emplace_back(child, QueryMode::kBranch);
     }
   }
 
@@ -1047,7 +1023,6 @@ std::uint64_t RoadsServer::summary_state_stamp() const {
     // unchanged digests recompute the same fold: the cache stays warm.
     util::Fnv1a fold;
     for (const auto& [child, summary] : child_summaries_) {
-      if (!summary || !children_.has(child)) continue;
       fold.add(static_cast<std::uint64_t>(child));
       fold.add(summary->digest());
     }

@@ -5,9 +5,10 @@
 //    paths, join-request timeouts for dead targets);
 //  * bottom-up summary aggregation (periodic refresh, child branch
 //    summaries, branch stats);
-//  * the replication overlay (top-down pushes of own branch/local
-//    summaries, receive-time forwarding of child summaries to siblings,
-//    cascade of replicas down the subtree with role transformation);
+//  * the replication overlay: one downward push carries own
+//    branch/local summaries, sibling forwards of child summaries and
+//    the replica cascade with role transformation; one push ledger
+//    suppresses every summary stream, the parent push included;
 //  * maintenance (heartbeats both ways, failure detection, rejoin via
 //    root-path candidates, root election, graceful departure, TTL
 //    sweeps);
@@ -121,9 +122,17 @@ class RoadsServer : public QueryTarget {
   SummaryPtr local_summary() const { return local_summary_; }
   const overlay::ReplicaStore& replicas() const { return replicas_; }
   /// Branch summaries received from children (origin -> summary).
+  /// Every key is a current child and every summary is non-null.
   const std::map<sim::NodeId, SummaryPtr>& child_summaries() const {
     return child_summaries_;
   }
+
+  /// The push ledger: per destination (a child or the parent), the
+  /// digest last sent on each (origin, kind) stream. It holds only live
+  /// streams: (self, branch|local), (child, branch) or a held replica.
+  using Stream = std::pair<sim::NodeId, overlay::SummaryKind>;
+  using PushLedger = std::map<sim::NodeId, std::map<Stream, std::uint64_t>>;
+  const PushLedger& push_ledger() const { return pushed_digests_; }
 
   /// Total bytes of summary state held (children + replicas + own) —
   /// Table I's per-server storage metric.
@@ -177,32 +186,38 @@ class RoadsServer : public QueryTarget {
   void rejoin(const std::vector<sim::NodeId>& candidates);
 
   /// Copies the owner's records into the store (kDetailedRecords) or
-  /// exports its summary (kSummaryOnly); a remote owner's export is
-  /// charged as update traffic.
-  void export_owner(Attachment& att);
+  /// exports its summary (kSummaryOnly), recording the exported version
+  /// and digest. A remote owner's export is charged as update traffic,
+  /// except an unchanged summary outside a keepalive round.
+  void export_owner(Attachment& att, bool keepalive = true);
 
   /// Recomputes this node's aggregate stats and pushes them up if they
   /// changed (keeps join steering accurate between refresh rounds).
   void push_stats_up();
 
-  /// Sends the branch summary (whose digest is `digest`) and branch
-  /// stats to the parent, recording both as the last pushed.
-  void push_branch_up(std::uint64_t digest, bool keepalive);
+  /// Sends the branch summary and stats to the parent, recording both
+  /// as the last pushed, unless the ledger suppresses the push.
+  void push_branch_up(bool keepalive);
   void refresh_attachment_summaries(bool keepalive);
   SummaryPtr compute_local_summary();
   SummaryPtr compute_branch_summary() const;
+  /// The one downward push (overlay on only): sends `summary` as a
+  /// `spec` replica to every child but `skip`. Own summaries, sibling
+  /// forwards of a child's branch and the replica cascade all go here.
   void push_replica_to_children(const overlay::ReplicaSpec& spec,
-                                const SummaryPtr& summary, bool keepalive);
-  void forward_child_summary_to_siblings(sim::NodeId child,
-                                         const SummaryPtr& summary,
-                                         bool keepalive);
+                                const SummaryPtr& summary, bool keepalive,
+                                std::optional<sim::NodeId> skip = {});
 
   /// Returns true when a push with `digest` must actually be sent to
   /// `dest` for the (origin, kind) stream — i.e. the content changed,
   /// the stream is new, or this is a keepalive wave — and records the
-  /// digest as the last sent. False means: suppress.
-  bool note_push(sim::NodeId dest, sim::NodeId origin, std::uint8_t kind,
-                 std::uint64_t digest, bool keepalive);
+  /// digest as the last sent. False means: suppress (counted).
+  bool note_push(sim::NodeId dest, sim::NodeId origin,
+                 overlay::SummaryKind kind, std::uint64_t digest,
+                 bool keepalive);
+  /// Erases every ledger stream that is no longer live; runs only when
+  /// a stream can end (a child dropped, a replica swept).
+  void forget_dead_streams();
 
   /// Schedules `body` at `first` and then every `period` until the
   /// server fails, leaves or restarts (the life epoch changes). The
@@ -214,7 +229,7 @@ class RoadsServer : public QueryTarget {
   void on_failure_check_timer();
   void parent_lost();
   /// Forgets a departed or silent child: its entry, branch summary and
-  /// suppression digests.
+  /// every ledger stream to or from it. The one place a child leaves.
   void drop_child(sim::NodeId child);
 
   // --- Query serving internals (admission + caching) ------------------------
@@ -321,14 +336,9 @@ class RoadsServer : public QueryTarget {
   /// Refresh rounds completed; round r is a keepalive wave when
   /// r % summary_keepalive_rounds == 0 (so the first round always is).
   std::uint64_t refresh_round_ = 0;
-  /// Digest of the branch summary last pushed to the parent; reset on
-  /// parent change so a new parent always gets a first push.
-  std::optional<std::uint64_t> parent_push_digest_;
-  /// Last digest pushed per destination child and (origin, kind)
-  /// stream; entries for a child are dropped when it leaves or fails.
-  std::map<sim::NodeId,
-           std::map<std::pair<sim::NodeId, std::uint8_t>, std::uint64_t>>
-      pushed_digests_;
+  /// Entries go when the destination stops being a neighbour (so a new
+  /// parent or child always gets a first push) or the stream ends.
+  PushLedger pushed_digests_;
 
   // Joiner-side state machine.
   struct JoinState {

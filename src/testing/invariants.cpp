@@ -17,7 +17,10 @@ class Checker {
   }
 
   InvariantReport run() {
-    if (options_.structure) check_structure();
+    if (options_.structure) {
+      check_structure();
+      check_summary_state();
+    }
     if (options_.storage_accounting) check_storage_accounting();
     if (options_.replica_ttl) check_replica_ttl();
     // Soundness goes last: its probes advance the simulated clock, so
@@ -123,6 +126,36 @@ class Checker {
       } else {
         expect(roots >= 1, "no root among ", alive_.size(),
                " alive servers");
+      }
+    }
+  }
+
+  // Per-server summary state names only live neighbours and streams:
+  // the push ledger's destinations are children or the parent, its
+  // streams are the server's own, a child's branch or a held replica,
+  // and every child summary belongs to a current child.
+  void check_summary_state() {
+    for (auto* s : alive_) {
+      const sim::NodeId id = s->id();
+      const auto& children = s->children();
+      for (const auto& [dest, streams] : s->push_ledger()) {
+        expect(children.has(dest) || s->parent() == dest, "server ", id,
+               ": push ledger keeps departed destination ", dest);
+        for (const auto& [stream, _] : streams) {
+          const auto [origin, kind] = stream;
+          const bool child_branch =
+              kind == overlay::SummaryKind::kBranch && children.has(origin);
+          expect(origin == id || child_branch ||
+                     s->replicas().has(origin, kind),
+                 "server ", id, ": push ledger to ", dest,
+                 " keeps dead stream (", origin, ", ",
+                 overlay::to_string(kind), ")");
+        }
+      }
+      for (const auto& [child, summary] : s->child_summaries()) {
+        expect(children.has(child) && summary != nullptr, "server ", id,
+               ": child summary for ", child,
+               children.has(child) ? " is null" : " outlives the child");
       }
     }
   }

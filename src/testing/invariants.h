@@ -12,7 +12,11 @@
 //   * no alive server keeps a dead parent or (with maintenance on) a
 //     dead child past failure detection;
 //   * root paths are consistent (end with the owner, second-to-last is
-//     the parent).
+//     the parent);
+//   * summary state is bounded by live neighbours: push-ledger
+//     destinations are children or the parent, ledger streams are the
+//     server's own, a child's branch or a held replica, and child
+//     summaries belong to current children and are non-null.
 //
 //  semantic (§III-B soft state):
 //   * summary soundness — a point query for a record held by any alive

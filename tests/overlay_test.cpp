@@ -159,16 +159,6 @@ TEST(ReplicaStore, SweepExpiresStaleReplicas) {
   EXPECT_TRUE(store.has(2, SummaryKind::kBranch));
 }
 
-TEST(ReplicaStore, EraseOriginRemovesBothKinds) {
-  ReplicaStore store(100);
-  store.put({3, SummaryKind::kBranch, ReplicaRole::kAncestor},
-            std::make_shared<summary::ResourceSummary>(make_summary(0.2)), 0);
-  store.put({3, SummaryKind::kLocal, ReplicaRole::kAncestor},
-            std::make_shared<summary::ResourceSummary>(make_summary(0.2)), 0);
-  EXPECT_EQ(store.erase_origin(3), 2u);
-  EXPECT_EQ(store.size(), 0u);
-}
-
 TEST(ReplicaStore, MatchingFiltersByQueryAndKind) {
   ReplicaStore store(1000);
   store.put({1, SummaryKind::kBranch, ReplicaRole::kSibling},

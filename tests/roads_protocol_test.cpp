@@ -1,8 +1,8 @@
 // Protocol-level tests of RoadsServer/RoadsClient internals that the
 // end-to-end suite does not pin down: message-size accounting, summary
 // refresh dynamics, replica role transformation, soft-state TTL expiry,
-// query modes, result collection, owner re-export, and traffic-channel
-// attribution.
+// query modes, result collection, owner re-export, push-ledger stream
+// lifetime, and traffic-channel attribution.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -214,6 +214,24 @@ TEST(Protocol, RemoteSummaryExportIsCharged) {
   EXPECT_EQ(after.bytes - before.bytes,
             core::msg::summary_update(
                 owner->export_summary(fed.config().summary)));
+
+  // The export records what it shipped, so the first non-keepalive
+  // refresh round after a re-export (K = 3: round 0 is a keepalive,
+  // round 1 is not) ships nothing more for that owner.
+  const auto owner_sends = [&] {
+    std::size_t sends = 0;
+    for (const auto& ev : fed.trace()->events_of(obs::TraceKind::kSend)) {
+      if (ev.node == owner->node()) ++sends;
+    }
+    return sends;
+  };
+  ASSERT_GT(fed.config().summary_keepalive_rounds, 1u);
+  fed.server(2).refresh_summaries();  // round 0: keepalive, ships
+  owner->store().update(rec(1, 0.6));
+  fed.server(2).reexport_owner(owner->id());
+  const auto shipped = owner_sends();
+  fed.server(2).refresh_summaries();  // round 1: owner unchanged since
+  EXPECT_EQ(owner_sends(), shipped);
 }
 
 TEST(Protocol, ColocatedExportIsFree) {
@@ -501,6 +519,40 @@ TEST(Protocol, StoredSummaryBytesBoundedAndPositive) {
   expect_invariants(fed);
 }
 
+// A child that leaves ends its stream: its siblings' ledger entries for
+// it go with it, so the ledger stays bounded by live children x held
+// origins under churn instead of growing with every departure.
+TEST(Protocol, PushLedgerForgetsDepartedOrigins) {
+  auto params = proto_params();
+  params.config.max_children = 3;
+  Federation fed(params);
+  fed.add_servers(4);  // one parent with three children
+  fed.start();
+  fed.stabilize();
+  const auto topo = fed.topology();
+  const auto parent = topo.root();
+  const auto children = fed.server(parent).children().ids();
+  ASSERT_EQ(children.size(), 3u);
+  const auto departed = children.front();
+  for (const auto sibling : children) {
+    if (sibling == departed) continue;
+    EXPECT_EQ(fed.server(parent).push_ledger().at(sibling).count(
+                  {departed, overlay::SummaryKind::kBranch}),
+              1u);
+  }
+
+  fed.server(departed).leave();
+  fed.advance(params.config.summary_refresh_period);
+  const auto& ledger = fed.server(parent).push_ledger();
+  EXPECT_EQ(ledger.count(departed), 0u);
+  for (const auto& [dest, streams] : ledger) {
+    for (const auto& [stream, _] : streams) {
+      EXPECT_NE(stream.first, departed) << "stream to " << dest;
+    }
+  }
+  expect_structural(fed);
+}
+
 // --- Fault-path edge cases (reordering, crash/restart races) ---
 
 // A partition heal (or reordering jitter) can deliver a heartbeat_down
@@ -532,6 +584,20 @@ TEST(Protocol, StaleHeartbeatDownFromOldParentIgnored) {
   ASSERT_TRUE(fed.server(leaf).parent().has_value());
   ASSERT_NE(*fed.server(leaf).parent(), old_parent);
   const auto adopted_path = fed.server(leaf).root_path();
+
+  // The parent push is one ledger stream: the lost parent's entry went
+  // with it, and the new parent got the first push although the leaf's
+  // branch digest never changed.
+  const auto& ledger = fed.server(leaf).push_ledger();
+  const auto new_parent = *fed.server(leaf).parent();
+  const auto digest = fed.server(leaf).branch_summary()->digest();
+  EXPECT_EQ(ledger.count(old_parent), 0u);
+  ASSERT_EQ(ledger.count(new_parent), 1u);
+  EXPECT_EQ(ledger.at(new_parent).at({leaf, overlay::SummaryKind::kBranch}),
+            digest);
+  const auto& adopted = fed.server(new_parent).child_summaries();
+  ASSERT_EQ(adopted.count(leaf), 1u);
+  EXPECT_EQ(adopted.at(leaf)->digest(), digest);
 
   // The stale heartbeat arrives late (as after a heal): ignored.
   fed.server(leaf).handle_heartbeat_down(old_parent, stale_path, {});
